@@ -25,11 +25,12 @@ vet:
 # server's limiter/timeout/shutdown paths, the retrying client, the
 # metrics registry, the trace machinery probed by the fuzz-derived
 # robustness tests, the sharded severity kernels in internal/core, and
-# the experiment store's fault-injection suite. The wide-event suites
+# the experiment store's fault-injection suite, and the generic LRU cache
+# with its singleflight (internal/lru). The wide-event suites
 # (concurrent kernel-shard emission, the event ring, the SLO bucket
 # ring) live in these same packages and ride along.
 race:
-	$(GO) test -race ./internal/server/... ./internal/trace/... ./client/... ./internal/obs/... ./internal/core/... ./internal/store/... ./internal/expr/...
+	$(GO) test -race ./internal/server/... ./internal/trace/... ./client/... ./internal/obs/... ./internal/core/... ./internal/store/... ./internal/expr/... ./internal/lru/...
 
 bench:
 	$(GO) test -bench=$(BENCH_PATTERN) -benchmem -run=^$$ .

@@ -288,7 +288,9 @@ func integrate(opts *Options, operands ...*Experiment) (*integration, error) {
 		var key memoKey
 		if memo != nil {
 			key = memoKeyOf(opts, digs)
-			if ent := memo.get(key); ent != nil {
+			ent, ok := memo.Get(key)
+			countMemo(ok)
+			if ok {
 				in := ent.open(operands)
 				recordMetaFastpath(opts, fastpathMemo)
 				recordIntegration(in, operands)
@@ -301,7 +303,8 @@ func integrate(opts *Options, operands ...*Experiment) (*integration, error) {
 		}
 		if memo != nil {
 			in.fastpath = fastpathMiss
-			memo.put(newMemoEntry(key, in))
+			ent := newMemoEntry(in)
+			memo.Add(key, ent, ent.bytes)
 		}
 		recordMetaFastpath(opts, fastpathMiss)
 		return in, nil

@@ -1,11 +1,11 @@
 package core
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
-	"sync"
 	"sync/atomic"
+
+	"cube/internal/lru"
 )
 
 // Integration memoization. integrate's outcome is fully determined by the
@@ -39,7 +39,7 @@ const DefaultIntegrateMemoBytes = 32 << 20
 // and benchmarks use it to obtain cold baselines and oracle results.
 var metaFastpathOff atomic.Bool
 
-var integrateMemoTable atomic.Pointer[integrateMemo]
+var integrateMemoTable atomic.Pointer[lru.Cache[memoKey, *memoEntry]]
 
 func init() {
 	SetIntegrateMemoBudget(DefaultIntegrateMemoBytes)
@@ -54,11 +54,7 @@ func SetIntegrateMemoBudget(budgetBytes int64) {
 		integrateMemoTable.Store(nil)
 		return
 	}
-	integrateMemoTable.Store(&integrateMemo{
-		budget: budgetBytes,
-		ll:     list.New(),
-		idx:    map[memoKey]*list.Element{},
-	})
+	integrateMemoTable.Store(lru.New[memoKey, *memoEntry](budgetBytes, "cube_meta_memo", opRegistry.Load))
 }
 
 type memoKey [32]byte
@@ -86,7 +82,6 @@ func memoKeyOf(opts *Options, digs [][32]byte) memoKey {
 // after construction: concurrent hits clone the skeleton (a read-only
 // operation) and share the tables.
 type memoEntry struct {
-	key       memoKey
 	skel      *Experiment // merged metadata, no severities; cloned per hit
 	tabs      []remapTable
 	metricSrc []int32
@@ -96,7 +91,7 @@ type memoEntry struct {
 // newMemoEntry snapshots a freshly computed full integration. The skeleton
 // is cloned *before* the caller runs kernels and stamps provenance onto
 // in.out, so the entry stays severity- and title-free.
-func newMemoEntry(key memoKey, in *integration) *memoEntry {
+func newMemoEntry(in *integration) *memoEntry {
 	tabs := in.tables()
 	out := in.out
 	var tabBytes int64
@@ -107,7 +102,6 @@ func newMemoEntry(key memoKey, in *integration) *memoEntry {
 	nodes := int64(len(out.metrics) + len(out.cnodes) + len(out.threads) + len(out.procs))
 	meta := int64(len(out.regions)+len(out.callSites))*96 + nodes*112
 	return &memoEntry{
-		key:       key,
 		skel:      out.Clone(),
 		tabs:      tabs,
 		metricSrc: in.metricSrcs(),
@@ -125,65 +119,14 @@ func (ent *memoEntry) open(operands []*Experiment) *integration {
 	return in
 }
 
-type integrateMemo struct {
-	mu     sync.Mutex
-	budget int64
-	bytes  int64
-	ll     *list.List // front = most recently used; values are *memoEntry
-	idx    map[memoKey]*list.Element
-}
-
-func (mc *integrateMemo) get(key memoKey) *memoEntry {
-	mc.mu.Lock()
-	el, ok := mc.idx[key]
-	if ok {
-		mc.ll.MoveToFront(el)
-	}
-	mc.mu.Unlock()
+// countMemo records one memo lookup in the registry current at the time,
+// which core.Instrument may have swapped since the memo was created.
+func countMemo(hit bool) {
 	if reg := opRegistry.Load(); reg != nil {
-		if ok {
+		if hit {
 			reg.Counter("cube_meta_memo_hits_total").Inc()
 		} else {
 			reg.Counter("cube_meta_memo_misses_total").Inc()
 		}
-	}
-	if !ok {
-		return nil
-	}
-	return el.Value.(*memoEntry)
-}
-
-func (mc *integrateMemo) put(ent *memoEntry) {
-	if ent.bytes > mc.budget {
-		return // would evict everything and still not fit
-	}
-	evicted := 0
-	mc.mu.Lock()
-	if _, ok := mc.idx[ent.key]; ok {
-		// Lost a race against a concurrent identical integration; the
-		// resident entry is equivalent.
-		mc.mu.Unlock()
-		return
-	}
-	mc.idx[ent.key] = mc.ll.PushFront(ent)
-	mc.bytes += ent.bytes
-	for mc.bytes > mc.budget {
-		el := mc.ll.Back()
-		if el == nil {
-			break
-		}
-		old := el.Value.(*memoEntry)
-		mc.ll.Remove(el)
-		delete(mc.idx, old.key)
-		mc.bytes -= old.bytes
-		evicted++
-	}
-	bytes := mc.bytes
-	mc.mu.Unlock()
-	if reg := opRegistry.Load(); reg != nil {
-		if evicted > 0 {
-			reg.Counter("cube_meta_memo_evictions_total").Add(int64(evicted))
-		}
-		reg.Gauge("cube_meta_memo_bytes").Set(bytes)
 	}
 }

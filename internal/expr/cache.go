@@ -1,34 +1,11 @@
 package expr
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"strconv"
-	"sync"
 
 	"cube/internal/core"
-	"cube/internal/obs"
 )
-
-// resultCache is the expression-digest result cache: evaluated
-// subexpressions, keyed by canonical node digest × evaluation-options
-// fingerprint, held as compacted columnar masters. A hit returns a clone
-// (two flat array copies) instead of re-running kernels — the same
-// master/clone discipline as the server's parse cache, so concurrent hits
-// on one entry are pure reads.
-//
-// The cache is byte-budgeted: entries are charged an estimate of their
-// resident size and evicted least-recently-used. An entry larger than the
-// whole budget is never cached.
-type resultCache struct {
-	reg    *obs.Registry
-	budget int64
-
-	mu      sync.Mutex
-	entries map[resultKey]*list.Element
-	lru     *list.List // of *resultEntry; front = most recently used
-	bytes   int64
-}
 
 // resultKey is the cache key: the canonical expression digest plus a
 // fingerprint of the evaluation options that shape the result (call-path
@@ -37,12 +14,6 @@ type resultCache struct {
 type resultKey struct {
 	node [sha256.Size]byte
 	opts string
-}
-
-type resultEntry struct {
-	key  resultKey
-	size int64
-	e    *core.Experiment
 }
 
 // optsFingerprint renders the result-shaping options. Engine is included
@@ -55,77 +26,6 @@ func optsFingerprint(o *core.Options) string {
 	}
 	return "cm=" + strconv.Itoa(int(o.CallMatch)) + ";sys=" + strconv.Itoa(int(o.System)) +
 		";machine=" + o.CollapsedMachine + ";engine=" + strconv.Itoa(int(o.Engine))
-}
-
-func newResultCache(budget int64, reg *obs.Registry) *resultCache {
-	if budget <= 0 {
-		return nil
-	}
-	return &resultCache{
-		reg:     reg,
-		budget:  budget,
-		entries: map[resultKey]*list.Element{},
-		lru:     list.New(),
-	}
-}
-
-func (rc *resultCache) count(name string) {
-	if rc != nil && rc.reg != nil {
-		rc.reg.Counter(name).Inc()
-	}
-}
-
-// get returns a private clone of the cached result, or nil. A nil cache
-// never hits.
-func (rc *resultCache) get(key resultKey) *core.Experiment {
-	if rc == nil {
-		return nil
-	}
-	rc.mu.Lock()
-	el, ok := rc.entries[key]
-	if !ok {
-		rc.mu.Unlock()
-		return nil
-	}
-	rc.lru.MoveToFront(el)
-	master := el.Value.(*resultEntry).e
-	rc.mu.Unlock()
-	// Cloning a compacted master is pure reads, so concurrent hits on the
-	// same entry proceed without the lock.
-	return master.Clone()
-}
-
-// put inserts a compacted master under the key, evicting from the LRU
-// tail until the byte budget holds again.
-func (rc *resultCache) put(key resultKey, master *core.Experiment) {
-	if rc == nil {
-		return
-	}
-	size := estimateSize(master)
-	if size > rc.budget {
-		return
-	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if _, ok := rc.entries[key]; ok {
-		return // a concurrent evaluation of the same expression won the race
-	}
-	for rc.bytes+size > rc.budget {
-		back := rc.lru.Back()
-		if back == nil {
-			break
-		}
-		ent := back.Value.(*resultEntry)
-		rc.lru.Remove(back)
-		delete(rc.entries, ent.key)
-		rc.bytes -= ent.size
-		rc.count("cube_expr_cache_evictions_total")
-	}
-	rc.entries[key] = rc.lru.PushFront(&resultEntry{key: key, size: size, e: master})
-	rc.bytes += size
-	if rc.reg != nil {
-		rc.reg.Gauge("cube_expr_cache_bytes").Set(rc.bytes)
-	}
 }
 
 // estimateSize approximates an experiment's resident bytes for the cache

@@ -4,9 +4,9 @@ import (
 	"context"
 	"encoding/hex"
 	"fmt"
-	"sync"
 
 	"cube/internal/core"
+	"cube/internal/lru"
 	"cube/internal/obs"
 )
 
@@ -27,10 +27,7 @@ import (
 //	cube_expr_cache_bytes           resident size estimate of the cache
 type Engine struct {
 	reg   *obs.Registry
-	cache *resultCache
-
-	mu      sync.Mutex
-	flights map[resultKey]*flight
+	cache *lru.Cache[resultKey, *core.Experiment] // compacted masters, shared read-only
 }
 
 // Config configures an Engine.
@@ -44,19 +41,11 @@ type Config struct {
 
 // NewEngine returns an evaluation engine.
 func NewEngine(cfg Config) *Engine {
+	reg := cfg.Metrics
 	return &Engine{
-		reg:     cfg.Metrics,
-		cache:   newResultCache(cfg.CacheBytes, cfg.Metrics),
-		flights: map[resultKey]*flight{},
+		reg:   reg,
+		cache: lru.New[resultKey, *core.Experiment](cfg.CacheBytes, "cube_expr_cache", func() *obs.Registry { return reg }),
 	}
-}
-
-// flight is one in-progress evaluation concurrent identical requests wait
-// on; the winner publishes the compacted root master (or the error).
-type flight struct {
-	wg  sync.WaitGroup
-	e   *core.Experiment
-	err error
 }
 
 // Resolver supplies leaf operands: stored experiments by digest, inline
@@ -95,46 +84,33 @@ func (g *Engine) Eval(ctx context.Context, plan *Plan, opts *core.Options, resol
 	g.count("cube_expr_cse_hits_total", int64(stats.CSEHits))
 
 	fp := optsFingerprint(opts)
-	rootKey := resultKey{node: plan.Root.Key, opts: fp}
-	if e := g.cache.get(rootKey); e != nil {
-		g.count("cube_expr_cache_hits_total", 1)
-		stats.CacheHits++
-		stats.RootCached = true
-		return e, stats, nil
-	}
-
-	// Singleflight: the first evaluation of an expression runs, identical
-	// concurrent requests wait and clone its result (sharing the error on
-	// failure, so a poisoned expression does not dogpile the kernels).
-	g.mu.Lock()
-	if fl, ok := g.flights[rootKey]; ok {
-		g.mu.Unlock()
-		fl.wg.Wait()
-		if fl.err != nil {
-			return nil, stats, fl.err
+	if plan.Root.Spec == nil {
+		// A bare leaf evaluates nothing, so there is nothing to share or
+		// cache: resolve it and hand out a clone.
+		masters, err := g.evalAll(ctx, plan, fp, opts, resolve, &stats, []*Node{plan.Root})
+		if err != nil {
+			return nil, stats, err
 		}
-		g.count("cube_expr_cache_hits_total", 1)
-		stats.CacheHits++
-		stats.RootCached = true
-		return fl.e.Clone(), stats, nil
+		return masters[plan.Root].Clone(), stats, nil
 	}
-	fl := &flight{}
-	fl.wg.Add(1)
-	g.flights[rootKey] = fl
-	g.mu.Unlock()
-
-	masters, err := g.evalAll(ctx, plan, fp, opts, resolve, &stats, []*Node{plan.Root})
-	var master *core.Experiment
-	if err == nil {
-		master = masters[plan.Root]
-	}
-	fl.e, fl.err = master, err
-	fl.wg.Done()
-	g.mu.Lock()
-	delete(g.flights, rootKey)
-	g.mu.Unlock()
+	// Singleflight: the first evaluation of an expression runs, identical
+	// concurrent requests wait and share its result (and its error, so a
+	// poisoned expression does not dogpile the kernels).
+	master, outcome, err := g.cache.Do(resultKey{node: plan.Root.Key, opts: fp}, func() (*core.Experiment, int64, error) {
+		masters, err := g.evalAll(ctx, plan, fp, opts, resolve, &stats, []*Node{plan.Root})
+		if err != nil {
+			return nil, 0, err
+		}
+		m := masters[plan.Root]
+		return m, estimateSize(m), nil
+	})
 	if err != nil {
 		return nil, stats, err
+	}
+	if outcome != lru.Miss {
+		g.count("cube_expr_cache_hits_total", 1)
+		stats.CacheHits++
+		stats.RootCached = true
 	}
 	return master.Clone(), stats, nil
 }
@@ -203,7 +179,7 @@ func (g *Engine) evalAll(ctx context.Context, plan *Plan, fp string, opts *core.
 			continue
 		}
 		key := resultKey{node: n.Key, opts: fp}
-		if e := g.cache.get(key); e != nil {
+		if e, ok := g.cache.Get(key); ok {
 			g.count("cube_expr_cache_hits_total", 1)
 			stats.CacheHits++
 			results[n] = e
@@ -231,7 +207,7 @@ func (g *Engine) evalAll(ctx context.Context, plan *Plan, fp string, opts *core.
 			o.Trace = sp
 			nopts = &o
 		}
-		master, err := applyOp(n, nopts, operands)
+		master, err := n.Apply(nopts, operands)
 		if err != nil {
 			sp.SetAttr("error", err.Error())
 			sp.End()
@@ -241,47 +217,17 @@ func (g *Engine) evalAll(ctx context.Context, plan *Plan, fp string, opts *core.
 		stats.Evaluated++
 		g.count("cube_expr_eval_nodes_total", 1)
 		// Compact and publish the master. Once it is visible in the
-		// cache, concurrent requests clone it; this request also only
-		// reads it — as an operand of parent nodes, and for roots
-		// through the boundary clone its caller receives.
+		// cache, every request only reads it — as an operand of parent
+		// nodes, and for roots through the boundary clone its caller
+		// receives.
 		master.CompactSeverities()
-		g.cache.put(key, master)
+		g.cache.Add(key, master, estimateSize(master))
 		results[n] = master
 		if isRoot[n] {
 			masters[n] = master
 		}
 	}
 	return masters, nil
-}
-
-// applyOp dispatches one operator node to the core algebra.
-func applyOp(n *Node, opts *core.Options, operands []*core.Experiment) (*core.Experiment, error) {
-	switch n.Spec.name {
-	case "difference":
-		return core.Difference(operands[0], operands[1], opts)
-	case "merge":
-		return core.MergeAll(opts, operands...)
-	case "mean":
-		return core.Mean(opts, operands...)
-	case "sum":
-		return core.Sum(opts, operands...)
-	case "min":
-		return core.Min(opts, operands...)
-	case "max":
-		return core.Max(opts, operands...)
-	case "stddev":
-		return core.StdDev(opts, operands...)
-	case "flatten":
-		return core.Flatten(operands[0])
-	case "extract":
-		return core.ExtractMetrics(operands[0], n.Metrics...)
-	case "prune":
-		return core.Prune(operands[0], n.Metric, n.Threshold)
-	case "scale":
-		return core.Scale(operands[0], n.Factor, opts)
-	default:
-		return nil, fmt.Errorf("unimplemented operator %q", n.Spec.name)
-	}
 }
 
 // DigestOfKey renders a plan key for logs and span attributes.

@@ -310,19 +310,19 @@ func TestEvalContextCancelled(t *testing.T) {
 // eviction counter moves.
 func TestResultCacheEviction(t *testing.T) {
 	reg := obs.NewRegistry()
-	rc := newResultCache(2000, reg) // one tiny experiment (~1.5 KiB estimate) fits, two don't
+	rc := NewEngine(Config{CacheBytes: 2000, Metrics: reg}).cache // one tiny experiment (~1.5 KiB estimate) fits, two don't
 	k1 := resultKey{node: sha256.Sum256([]byte("k1"))}
 	k2 := resultKey{node: sha256.Sum256([]byte("k2"))}
 	e1 := evalExperiment("e1", 1)
 	e2 := evalExperiment("e2", 2)
 	e1.CompactSeverities()
 	e2.CompactSeverities()
-	rc.put(k1, e1)
-	rc.put(k2, e2)
-	if rc.get(k1) != nil {
+	rc.Add(k1, e1, estimateSize(e1))
+	rc.Add(k2, e2, estimateSize(e2))
+	if _, ok := rc.Get(k1); ok {
 		t.Fatal("k1 should have been evicted")
 	}
-	if rc.get(k2) == nil {
+	if _, ok := rc.Get(k2); !ok {
 		t.Fatal("k2 should be resident")
 	}
 	if v := reg.CounterValue("cube_expr_cache_evictions_total"); v != 1 {

@@ -37,10 +37,15 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
+	"net/url"
 	"sort"
 	"strconv"
 	"strings"
+
+	"cube/internal/core"
 )
 
 // Limits bounds the expression structures the parser accepts; both are
@@ -68,7 +73,8 @@ func (l Limits) orDefault() Limits {
 	return l
 }
 
-// opSpec describes one operator of the algebra as the engine sees it.
+// opSpec describes one operator of the algebra: its wire name, arity,
+// parameters, whether operand order is canonicalized, and how it runs.
 type opSpec struct {
 	name        string
 	minArgs     int
@@ -78,21 +84,93 @@ type opSpec struct {
 	needsThresh bool // prune
 	needsFactor bool // scale
 	takesNames  bool // extract
+	apply       applyFunc
 }
 
-// ops is the operator table, keyed by lower-cased wire name.
+// applyFunc runs an operator node over its evaluated operands.
+type applyFunc func(n *Node, opts *core.Options, x []*core.Experiment) (*core.Experiment, error)
+
+// nary adapts an n-ary core operator to applyFunc.
+func nary(f func(*core.Options, ...*core.Experiment) (*core.Experiment, error)) applyFunc {
+	return func(_ *Node, opts *core.Options, x []*core.Experiment) (*core.Experiment, error) {
+		return f(opts, x...)
+	}
+}
+
+// ops is the operator table, keyed by lower-cased wire name. It drives the
+// parser, the canonicalizer, evaluation, and POST /op/{op} (OpNode).
 var ops = map[string]*opSpec{
-	"difference": {name: "difference", minArgs: 2, maxArgs: 2},
-	"merge":      {name: "merge", minArgs: 1},
-	"mean":       {name: "mean", minArgs: 1, commutative: true},
-	"sum":        {name: "sum", minArgs: 1, commutative: true},
-	"min":        {name: "min", minArgs: 1, commutative: true},
-	"max":        {name: "max", minArgs: 1, commutative: true},
-	"stddev":     {name: "stddev", minArgs: 2, commutative: true},
-	"flatten":    {name: "flatten", minArgs: 1, maxArgs: 1},
-	"extract":    {name: "extract", minArgs: 1, maxArgs: 1, takesNames: true},
-	"prune":      {name: "prune", minArgs: 1, maxArgs: 1, needsMetric: true, needsThresh: true},
-	"scale":      {name: "scale", minArgs: 1, maxArgs: 1, needsFactor: true},
+	"difference": {name: "difference", minArgs: 2, maxArgs: 2,
+		apply: func(_ *Node, opts *core.Options, x []*core.Experiment) (*core.Experiment, error) {
+			return core.Difference(x[0], x[1], opts)
+		}},
+	"merge":  {name: "merge", minArgs: 1, apply: nary(core.MergeAll)},
+	"mean":   {name: "mean", minArgs: 1, commutative: true, apply: nary(core.Mean)},
+	"sum":    {name: "sum", minArgs: 1, commutative: true, apply: nary(core.Sum)},
+	"min":    {name: "min", minArgs: 1, commutative: true, apply: nary(core.Min)},
+	"max":    {name: "max", minArgs: 1, commutative: true, apply: nary(core.Max)},
+	"stddev": {name: "stddev", minArgs: 2, commutative: true, apply: nary(core.StdDev)},
+	"flatten": {name: "flatten", minArgs: 1, maxArgs: 1,
+		apply: func(_ *Node, _ *core.Options, x []*core.Experiment) (*core.Experiment, error) {
+			return core.Flatten(x[0])
+		}},
+	"extract": {name: "extract", minArgs: 1, maxArgs: 1, takesNames: true,
+		apply: func(n *Node, _ *core.Options, x []*core.Experiment) (*core.Experiment, error) {
+			return core.ExtractMetrics(x[0], n.Metrics...)
+		}},
+	"prune": {name: "prune", minArgs: 1, maxArgs: 1, needsMetric: true, needsThresh: true,
+		apply: func(n *Node, _ *core.Options, x []*core.Experiment) (*core.Experiment, error) {
+			return core.Prune(x[0], n.Metric, n.Threshold)
+		}},
+	"scale": {name: "scale", minArgs: 1, maxArgs: 1, needsFactor: true,
+		apply: func(n *Node, opts *core.Options, x []*core.Experiment) (*core.Experiment, error) {
+			return core.Scale(x[0], n.Factor, opts)
+		}},
+}
+
+// ErrUnknownOp is OpNode's error for an operator name the table lacks.
+var ErrUnknownOp = errors.New("unknown operation")
+
+// OpNode maps POST /op/{name} onto the one-node expression it denotes:
+// the operator applied to `operand:0` … `operand:<n-1>`, with parameters
+// from the query — metric and threshold for prune, repeated metric for
+// extract, factor for scale; other operators ignore the query. The node
+// passes the parser's own validation, so /op and /expr accept the same
+// nodes. The name must match the table exactly (no case folding).
+func OpNode(name string, q url.Values, n int) (*Node, error) {
+	spec, ok := ops[name]
+	if !ok {
+		return nil, fmt.Errorf("%w %q", ErrUnknownOp, name)
+	}
+	w := &wireNode{Op: name, Args: make([]*wireNode, n)}
+	for i := range w.Args {
+		w.Args[i] = &wireNode{Ref: "operand:" + strconv.Itoa(i)}
+	}
+	number := func(param string) (*float64, error) {
+		if _, ok := q[param]; !ok {
+			return nil, nil
+		}
+		v, err := strconv.ParseFloat(q.Get(param), 64)
+		if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, parseErrf("bad %s %q: want a finite number", param, q.Get(param))
+		}
+		return &v, nil
+	}
+	var err error
+	switch {
+	case spec.needsMetric || spec.needsThresh:
+		w.Metric = q.Get("metric")
+		w.Threshold, err = number("threshold")
+	case spec.needsFactor:
+		w.Factor, err = number("factor")
+	case spec.takesNames:
+		w.Metrics = q["metric"]
+	}
+	if err != nil {
+		return nil, err
+	}
+	p := &parser{lim: Limits{MaxNodes: n + 1}.orDefault(), maxOp: -1}
+	return p.build(w)
 }
 
 // wireNode is the JSON shape of one expression node.
@@ -172,6 +250,12 @@ func (n *Node) Op() string {
 		return n.Leaf.String()
 	}
 	return n.Spec.name
+}
+
+// Apply runs the node's operator over its evaluated operands, in order.
+// Operators never mutate their operands.
+func (n *Node) Apply(opts *core.Options, operands []*core.Experiment) (*core.Experiment, error) {
+	return n.Spec.apply(n, opts, operands)
 }
 
 // KeyString is the hex form of the canonical digest.
@@ -286,10 +370,10 @@ func (p *parser) build(w *wireNode) (*Node, error) {
 		return nil, parseErrf("unknown operator %q", w.Op)
 	}
 	if len(w.Args) < spec.minArgs {
-		return nil, parseErrf("%s needs at least %d args, got %d", spec.name, spec.minArgs, len(w.Args))
+		return nil, parseErrf("%s needs at least %d operands, got %d", spec.name, spec.minArgs, len(w.Args))
 	}
 	if spec.maxArgs > 0 && len(w.Args) > spec.maxArgs {
-		return nil, parseErrf("%s takes at most %d args, got %d", spec.name, spec.maxArgs, len(w.Args))
+		return nil, parseErrf("%s takes at most %d operands, got %d", spec.name, spec.maxArgs, len(w.Args))
 	}
 	n := &Node{Spec: spec}
 	switch {

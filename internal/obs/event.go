@@ -35,7 +35,7 @@ import (
 type EventFields struct {
 	// Identity.
 	Kind      string `json:"kind"`                 // "http" | "client" | "cli" | "store" | "self"
-	Time      string `json:"time"`                 // RFC3339Nano UTC start of the unit of work
+	Time      string `json:"time"`                 // RFC 3339 UTC start of the unit of work, nine fraction digits
 	RequestID string `json:"request_id,omitempty"` // X-Request-ID (HTTP, client)
 	TraceID   string `json:"trace_id,omitempty"`   // trace ID when the unit was traced
 	Route     string `json:"route,omitempty"`      // bounded route label / endpoint / tool name
@@ -313,6 +313,10 @@ type Event struct {
 	emitted bool
 }
 
+// eventTimeLayout is RFC 3339 with a fixed nine-digit fraction, so event
+// times sort as strings; time.RFC3339Nano parses it.
+const eventTimeLayout = "2006-01-02T15:04:05.000000000Z07:00"
+
 // NewEvent begins a wide event destined for k. A nil sink returns a nil
 // event, on which every method is a no-op.
 func (k *EventSink) NewEvent(kind, route string) *Event {
@@ -323,7 +327,7 @@ func (k *EventSink) NewEvent(kind, route string) *Event {
 	return &Event{
 		sink:  k,
 		start: now,
-		f:     EventFields{Kind: kind, Route: route, Time: now.UTC().Format(time.RFC3339Nano)},
+		f:     EventFields{Kind: kind, Route: route, Time: now.UTC().Format(eventTimeLayout)},
 	}
 }
 

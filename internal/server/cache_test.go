@@ -19,6 +19,7 @@ import (
 	"cube/internal/core"
 	"cube/internal/cubexml"
 	"cube/internal/obs"
+	"cube/internal/store"
 )
 
 func encodeExp(t testing.TB, e *core.Experiment) []byte {
@@ -37,12 +38,13 @@ func TestParseCacheHitMiss(t *testing.T) {
 	pc := newParseCache(1<<20, cubexml.DefaultLimits, cubexml.EngineAuto, reg)
 	want := buildExp("cached", 0)
 	data := encodeExp(t, want)
+	d := store.DigestOf(data)
 
-	first, err := pc.get(context.Background(), data)
+	first, err := pc.shared(context.Background(), d, data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := pc.get(context.Background(), data)
+	second, err := pc.shared(context.Background(), d, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,22 +54,41 @@ func TestParseCacheHitMiss(t *testing.T) {
 	if got := counter(reg, "cube_parse_cache_hits_total"); got != 1 {
 		t.Errorf("hits = %d, want 1", got)
 	}
-	if first.Fingerprint() != want.Fingerprint() || second.Fingerprint() != want.Fingerprint() {
+	if first != second {
+		t.Error("a hit did not share the cached master")
+	}
+	if first.Fingerprint() != want.Fingerprint() {
 		t.Error("cached experiment differs from the original")
 	}
-	// Clones are private: mutating one result must not leak into another.
-	m, c, th := first.Metrics()[0], first.CallNodes()[0], first.Threads()[0]
-	first.SetSeverity(m, c, th, 1e9)
-	if second.Fingerprint() != want.Fingerprint() {
-		t.Error("mutating one cache result changed another")
-	}
-	third, err := pc.get(context.Background(), data)
+	// Clones are private: mutating one must not leak into the master.
+	clone := first.Clone()
+	m, c, th := clone.Metrics()[0], clone.CallNodes()[0], clone.Threads()[0]
+	clone.SetSeverity(m, c, th, 1e9)
+	third, err := pc.shared(context.Background(), d, data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if third.Fingerprint() != want.Fingerprint() {
-		t.Error("mutating a cache result changed the master")
+		t.Error("mutating a clone of a cache result changed the master")
 	}
+}
+
+// startFlight runs a parse-cache flight for key whose result the test
+// controls: it returns once the flight is registered, and the flight
+// finishes with (e, err) when release is closed.
+func startFlight(pc *parseCache, key store.Digest, e *core.Experiment, err error) (release chan struct{}, done chan struct{}) {
+	started := make(chan struct{})
+	release, done = make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		pc.lru.Do(key, func() (parsed, int64, error) {
+			close(started)
+			<-release
+			return parsed{e: e, shared: e != nil}, 1, err
+		})
+	}()
+	<-started
+	return release, done
 }
 
 func TestParseCacheSingleflightWait(t *testing.T) {
@@ -76,25 +97,23 @@ func TestParseCacheSingleflightWait(t *testing.T) {
 	want := buildExp("inflight", 0)
 	data := encodeExp(t, want)
 
-	// Install an in-progress flight by hand, then resolve it while a
-	// lookup is blocked on it: deterministic coverage of the wait path.
+	// Hold a flight open, then resolve it while a lookup is blocked on
+	// it: deterministic coverage of the wait path.
 	master, err := cubexml.ReadBytes(context.Background(), data, cubexml.ReadOptions{Limits: cubexml.DefaultLimits})
 	if err != nil {
 		t.Fatal(err)
 	}
 	master.CompactSeverities()
-	fl := &flight{}
-	fl.wg.Add(1)
-	pc.flights[sha256.Sum256(data)] = fl
+	release, done := startFlight(pc, store.DigestOf(data), master, nil)
 	go func() {
 		time.Sleep(10 * time.Millisecond)
-		fl.e = master
-		fl.wg.Done()
+		close(release)
 	}()
-	got, err := pc.get(context.Background(), data)
+	got, err := pc.shared(context.Background(), store.DigestOf(data), data)
 	if err != nil {
 		t.Fatal(err)
 	}
+	<-done
 	if got.Fingerprint() != want.Fingerprint() {
 		t.Error("waiter got a different experiment")
 	}
@@ -106,19 +125,17 @@ func TestParseCacheSingleflightWait(t *testing.T) {
 	}
 
 	// And the error side: waiters share the leader's failure.
-	badKey := sha256.Sum256([]byte("bad"))
-	flErr := &flight{}
-	flErr.wg.Add(1)
-	pc.flights[badKey] = flErr
+	badKey := store.DigestOf([]byte("bad"))
 	wantErr := fmt.Errorf("boom")
+	release, done = startFlight(pc, badKey, nil, wantErr)
 	go func() {
 		time.Sleep(10 * time.Millisecond)
-		flErr.err = wantErr
-		flErr.wg.Done()
+		close(release)
 	}()
-	if _, err := pc.get(context.Background(), []byte("bad")); err != wantErr {
+	if _, err := pc.shared(context.Background(), badKey, []byte("bad")); err != wantErr {
 		t.Errorf("waiter error = %v, want shared %v", err, wantErr)
 	}
+	<-done
 }
 
 func TestParseCacheEviction(t *testing.T) {
@@ -131,28 +148,28 @@ func TestParseCacheEviction(t *testing.T) {
 	budget := int64(len(docs[0])+len(docs[1])) + 16 // room for two, not three
 	pc := newParseCache(budget, cubexml.DefaultLimits, cubexml.EngineAuto, reg)
 	for _, d := range docs {
-		if _, err := pc.get(context.Background(), d); err != nil {
+		if _, err := pc.shared(context.Background(), store.DigestOf(d), d); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := counter(reg, "cube_parse_cache_evictions_total"); got != 1 {
 		t.Errorf("evictions = %d, want 1", got)
 	}
-	if pc.bytes > budget {
-		t.Errorf("cache holds %d bytes, budget %d", pc.bytes, budget)
+	if pc.lru.Bytes() > budget {
+		t.Errorf("cache holds %d bytes, budget %d", pc.lru.Bytes(), budget)
 	}
-	if got := reg.Gauge("cube_parse_cache_bytes").Value(); int64(got) != pc.bytes {
-		t.Errorf("bytes gauge = %v, want %d", got, pc.bytes)
+	if got := reg.Gauge("cube_parse_cache_bytes").Value(); int64(got) != pc.lru.Bytes() {
+		t.Errorf("bytes gauge = %v, want %d", got, pc.lru.Bytes())
 	}
 	// docs[0] was least recently used, so it went first.
-	if _, ok := pc.entries[sha256.Sum256(docs[0])]; ok {
+	if _, ok := pc.lru.Get(store.DigestOf(docs[0])); ok {
 		t.Error("LRU entry survived eviction")
 	}
-	if _, ok := pc.entries[sha256.Sum256(docs[2])]; !ok {
+	if _, ok := pc.lru.Get(store.DigestOf(docs[2])); !ok {
 		t.Error("most recent entry was evicted")
 	}
 	// Re-fetching the evicted operand is a miss again.
-	if _, err := pc.get(context.Background(), docs[0]); err != nil {
+	if _, err := pc.shared(context.Background(), store.DigestOf(docs[0]), docs[0]); err != nil {
 		t.Fatal(err)
 	}
 	if got := counter(reg, "cube_parse_cache_misses_total"); got != 4 {
@@ -165,15 +182,15 @@ func TestParseCacheOversizedNotCached(t *testing.T) {
 	data := encodeExp(t, buildExp("big", 0))
 	pc := newParseCache(int64(len(data))-1, cubexml.DefaultLimits, cubexml.EngineAuto, reg)
 	for i := 0; i < 2; i++ {
-		if _, err := pc.get(context.Background(), data); err != nil {
+		if _, err := pc.shared(context.Background(), store.DigestOf(data), data); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := counter(reg, "cube_parse_cache_misses_total"); got != 2 {
 		t.Errorf("misses = %d, want 2 (oversized operand must not be cached)", got)
 	}
-	if pc.lru.Len() != 0 || pc.bytes != 0 {
-		t.Errorf("oversized operand was cached: %d entries, %d bytes", pc.lru.Len(), pc.bytes)
+	if pc.lru.Len() != 0 || pc.lru.Bytes() != 0 {
+		t.Errorf("oversized operand was cached: %d entries, %d bytes", pc.lru.Len(), pc.lru.Bytes())
 	}
 }
 
@@ -185,13 +202,12 @@ func TestParseCacheErrorReachesAllWaiters(t *testing.T) {
 	reg := obs.NewRegistry()
 	pc := newParseCache(1<<20, cubexml.DefaultLimits, cubexml.EngineAuto, reg)
 	bad := []byte("not xml at all")
-	key := sha256.Sum256(bad)
+	key := store.DigestOf(bad)
 
-	// Install the in-progress flight by hand so every lookup below is
-	// guaranteed to take the waiter path before the leader "fails".
-	fl := &flight{}
-	fl.wg.Add(1)
-	pc.flights[key] = fl
+	// Hold the flight open so every lookup below is guaranteed to take
+	// the waiter path before the leader "fails".
+	wantErr := fmt.Errorf("leader parse exploded")
+	release, done := startFlight(pc, key, nil, wantErr)
 
 	const waiters = 16
 	type result struct {
@@ -204,19 +220,14 @@ func TestParseCacheErrorReachesAllWaiters(t *testing.T) {
 	for i := 0; i < waiters; i++ {
 		go func() {
 			started.Done()
-			e, err := pc.get(context.Background(), bad)
+			e, err := pc.shared(context.Background(), key, bad)
 			results <- result{e, err}
 		}()
 	}
 	started.Wait()
-	time.Sleep(5 * time.Millisecond) // let the goroutines reach wg.Wait
-	wantErr := fmt.Errorf("leader parse exploded")
-	fl.err = wantErr
-	fl.wg.Done()
-	// Mirror the leader's cleanup: the flight is done, errors don't cache.
-	pc.mu.Lock()
-	delete(pc.flights, key)
-	pc.mu.Unlock()
+	time.Sleep(5 * time.Millisecond) // let the goroutines reach the flight
+	close(release)
+	<-done
 
 	for i := 0; i < waiters; i++ {
 		r := <-results
@@ -227,10 +238,7 @@ func TestParseCacheErrorReachesAllWaiters(t *testing.T) {
 			t.Fatalf("waiter %d got a non-nil experiment alongside the error", i)
 		}
 	}
-	pc.mu.Lock()
-	entries, bytes := len(pc.entries), pc.bytes
-	pc.mu.Unlock()
-	if entries != 0 || bytes != 0 {
+	if entries, bytes := pc.lru.Len(), pc.lru.Bytes(); entries != 0 || bytes != 0 {
 		t.Errorf("failed parse left %d entries / %d bytes in the cache", entries, bytes)
 	}
 	if hits := counter(reg, "cube_parse_cache_hits_total"); hits != 0 {
@@ -244,7 +252,7 @@ func TestParseCacheParseErrorNotCached(t *testing.T) {
 	bad := []byte("<cube this is not XML")
 	var lastErr error
 	for i := 0; i < 2; i++ {
-		if _, lastErr = pc.get(context.Background(), bad); lastErr == nil {
+		if _, lastErr = pc.shared(context.Background(), store.DigestOf(bad), bad); lastErr == nil {
 			t.Fatal("cache parsed garbage")
 		}
 	}
@@ -282,9 +290,9 @@ func TestParseCacheConcurrentMixed(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			for i := 0; i < iters; i++ {
 				k := r.Intn(len(docs))
-				e, err := pc.get(context.Background(), docs[k])
+				e, err := pc.shared(context.Background(), store.DigestOf(docs[k]), docs[k])
 				if err != nil {
-					t.Errorf("get: %v", err)
+					t.Errorf("shared: %v", err)
 					return
 				}
 				if e.Fingerprint() != prints[k] {
@@ -304,8 +312,8 @@ func TestParseCacheConcurrentMixed(t *testing.T) {
 	if misses < int64(len(docs)) {
 		t.Errorf("misses = %d, want at least one per distinct operand (%d)", misses, len(docs))
 	}
-	if pc.bytes > budget {
-		t.Errorf("cache exceeded budget: %d > %d", pc.bytes, budget)
+	if pc.lru.Bytes() > budget {
+		t.Errorf("cache exceeded budget: %d > %d", pc.lru.Bytes(), budget)
 	}
 }
 
@@ -459,20 +467,21 @@ func TestParseContentDigest(t *testing.T) {
 
 // BenchmarkParseCacheHit measures serving a repeated operand from the
 // cache. The final counter check proves every benchmark iteration was a
-// hit — i.e. the operand was parsed exactly once, so the per-op
-// allocations are clone-only, with zero parse allocations.
+// hit — i.e. the operand was parsed exactly once, so no per-op
+// allocation is a parse allocation.
 func BenchmarkParseCacheHit(b *testing.B) {
 	reg := obs.NewRegistry()
 	pc := newParseCache(1<<24, cubexml.DefaultLimits, cubexml.EngineAuto, reg)
 	data := encodeExp(b, buildExp("bench", 0))
-	if _, err := pc.get(context.Background(), data); err != nil {
+	d := store.DigestOf(data)
+	if _, err := pc.shared(context.Background(), d, data); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pc.get(context.Background(), data); err != nil {
+		if _, err := pc.shared(context.Background(), d, data); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -492,7 +501,7 @@ func BenchmarkParseCacheMiss(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pc.get(context.Background(), data); err != nil {
+		if _, err := pc.shared(context.Background(), store.DigestOf(data), data); err != nil {
 			b.Fatal(err)
 		}
 	}

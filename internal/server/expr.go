@@ -94,13 +94,7 @@ func (s *service) handleExpr(w http.ResponseWriter, r *http.Request) {
 	// evaluation is over, so budget-pressure eviction cannot pull an
 	// operand out from under the running expression.
 	var pinned []store.Digest
-	if s.cfg.Store != nil {
-		defer func() {
-			for _, d := range pinned {
-				s.cfg.Store.Unpin(d)
-			}
-		}()
-	}
+	defer s.unpin(&pinned)
 	resolve := s.exprResolver(operands, &pinned)
 	if len(plan.Roots) > 1 {
 		results, stats, err := s.expr.EvalMulti(r.Context(), plan, opts, resolve)
@@ -196,13 +190,13 @@ func (s *service) planExpr(src []byte, operands []exprOperand) (*expr.Plan, erro
 	})
 }
 
-// exprResolver supplies leaf experiments to the evaluation engine: inline
-// operands parse through the content-addressed parse cache, digest leaves
-// resolve from the store (pinned into *pinned for the caller to release).
-// Leaves resolve through the cache's shared path: the engine's operators
-// never mutate operands, so a repeat request over the same content digest
-// reuses the cached master's lowered columnar block outright instead of
-// copying it (counted as cube_lower_cache_hits_total).
+// exprResolver supplies leaf experiments to the evaluation engine and the
+// operand routes: inline operands parse through the content-addressed
+// parse cache, digest leaves resolve from the store (pinned into *pinned
+// for the caller to release). Both come back as the cache's shared
+// masters: operators never mutate operands, so a repeat request over the
+// same content digest reuses the cached master's lowered columnar block
+// outright instead of copying it (counted as cube_lower_cache_hits_total).
 func (s *service) exprResolver(operands []exprOperand, pinned *[]store.Digest) expr.Resolver {
 	return func(ctx context.Context, leaf expr.Leaf) (*core.Experiment, error) {
 		switch leaf.Kind {
@@ -211,10 +205,7 @@ func (s *service) exprResolver(operands []exprOperand, pinned *[]store.Digest) e
 			if op.isRef {
 				return s.resolveDigestLeaf(ctx, op.digest, pinned)
 			}
-			if s.cache != nil {
-				return s.cache.shared(ctx, op.data)
-			}
-			return cubexml.ReadBytes(ctx, op.data, cubexml.ReadOptions{Limits: s.cfg.XML, Engine: s.cfg.ReadEngine})
+			return s.sharedExperiment(ctx, op.digest, op.data)
 		case expr.LeafDigest:
 			d, ok := store.ParseDigest(leaf.Digest)
 			if !ok {
@@ -227,15 +218,17 @@ func (s *service) exprResolver(operands []exprOperand, pinned *[]store.Digest) e
 	}
 }
 
-// resolveDigestLeaf is resolveDigestOperand for expression leaves: pin,
-// read the verified bytes, parse through the parse cache.
+// resolveDigestLeaf turns a digest reference into a parsed experiment:
+// pin (recorded in *pinned; the caller unpins), read the verified bytes,
+// parse through the parse cache, so a repeatedly referenced experiment is
+// decoded exactly once.
 func (s *service) resolveDigestLeaf(ctx context.Context, d store.Digest, pinned *[]store.Digest) (*core.Experiment, error) {
 	st := s.cfg.Store
 	if st == nil {
-		return nil, fmt.Errorf("expression references digest %s but no experiment store is configured", d)
+		return nil, fmt.Errorf("digest reference %s but no experiment store is configured", d)
 	}
 	if !st.Pin(d) {
-		return nil, &storeMissError{operand: -1, digest: d.String()}
+		return nil, &storeMissError{digest: d.String()}
 	}
 	*pinned = append(*pinned, d)
 	ev := obs.EventFromContext(ctx)
@@ -243,16 +236,56 @@ func (s *service) resolveDigestLeaf(ctx context.Context, d store.Digest, pinned 
 	data, err := st.GetContext(ctx, d)
 	if err != nil {
 		if errors.Is(err, store.ErrNotFound) {
-			return nil, &storeMissError{operand: -1, digest: d.String()}
+			return nil, &storeMissError{digest: d.String()}
 		}
 		return nil, err
 	}
 	ev.AddOperand("digest", int64(len(data)))
 	statsFrom(ctx).add(int64(len(data)))
+	return s.sharedExperiment(ctx, d, data)
+}
+
+// sharedExperiment parses operand bytes, whose content digest is d,
+// through the parse cache when it is enabled. The result is read-only.
+func (s *service) sharedExperiment(ctx context.Context, d store.Digest, data []byte) (*core.Experiment, error) {
 	if s.cache != nil {
-		return s.cache.shared(ctx, data)
+		return s.cache.shared(ctx, d, data)
 	}
 	return cubexml.ReadBytes(ctx, data, cubexml.ReadOptions{Limits: s.cfg.XML, Engine: s.cfg.ReadEngine})
+}
+
+// unpin releases the store pins a request's resolution took.
+func (s *service) unpin(pinned *[]store.Digest) {
+	for _, d := range *pinned {
+		s.cfg.Store.Unpin(d)
+	}
+}
+
+// resolveOperands reads the request's ordered "operand" parts and
+// resolves each exactly as an expression leaf. The experiments are the
+// parse cache's shared masters: callers only read them, or clone them
+// first. Store pins are held until every operand has resolved.
+func (s *service) resolveOperands(r *http.Request) ([]*core.Experiment, error) {
+	if err := r.ParseMultipartForm(8 << 20); err != nil {
+		return nil, fmt.Errorf("parsing multipart form: %w", err)
+	}
+	parts, err := s.readOperandParts(r)
+	if err != nil {
+		return nil, err
+	}
+	if len(parts) == 0 {
+		return nil, errors.New(`no "operand" files in request`)
+	}
+	var pinned []store.Digest
+	defer s.unpin(&pinned)
+	resolve := s.exprResolver(parts, &pinned)
+	out := make([]*core.Experiment, len(parts))
+	for i := range parts {
+		if out[i], err = resolve(r.Context(), expr.Leaf{Kind: expr.LeafOperand, Operand: i}); err != nil {
+			return nil, fmt.Errorf("operand %d: %w", i, err)
+		}
+	}
+	return out, nil
 }
 
 // readExprBody extracts the expression document and the inline operands
@@ -287,28 +320,38 @@ func (s *service) readExprBody(r *http.Request) ([]byte, []exprOperand, error) {
 	default:
 		return nil, nil, fmt.Errorf(`no "expr" field in multipart request`)
 	}
+	operands, err := s.readOperandParts(r)
+	return src, operands, err
+}
+
+// readOperandParts reads the parsed multipart form's ordered "operand"
+// parts, enforcing the operand-count and per-file-byte caps and checking
+// each inline part's Content-Digest header. A part whose body is
+// `digest:<sha256>` becomes a digest reference; every other part is kept
+// as literal bytes under their content digest.
+func (s *service) readOperandParts(r *http.Request) ([]exprOperand, error) {
 	files := r.MultipartForm.File["operand"]
 	if s.cfg.MaxOperands > 0 && len(files) > s.cfg.MaxOperands {
-		return nil, nil, fmt.Errorf("%w: %d operands exceed the limit of %d", errTooLarge, len(files), s.cfg.MaxOperands)
+		return nil, fmt.Errorf("%w: %d operands exceed the limit of %d", errTooLarge, len(files), s.cfg.MaxOperands)
 	}
 	stats := statsFrom(r.Context())
 	ev := obs.EventFromContext(r.Context())
 	operands := make([]exprOperand, 0, len(files))
 	for i, fh := range files {
 		if err := r.Context().Err(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if s.cfg.MaxFileBytes > 0 && fh.Size > s.cfg.MaxFileBytes {
-			return nil, nil, fmt.Errorf("%w: operand %d is %d bytes (per-file limit %d)", errTooLarge, i, fh.Size, s.cfg.MaxFileBytes)
+			return nil, fmt.Errorf("%w: operand %d is %d bytes (per-file limit %d)", errTooLarge, i, fh.Size, s.cfg.MaxFileBytes)
 		}
 		f, err := fh.Open()
 		if err != nil {
-			return nil, nil, fmt.Errorf("operand %d: %w", i, err)
+			return nil, fmt.Errorf("operand %d: %w", i, err)
 		}
 		data, err := io.ReadAll(f)
 		f.Close()
 		if err != nil {
-			return nil, nil, fmt.Errorf("operand %d: %w", i, err)
+			return nil, fmt.Errorf("operand %d: %w", i, err)
 		}
 		if len(data) <= digestRefPeek {
 			if d, ok := parseDigestRef(data); ok {
@@ -316,21 +359,23 @@ func (s *service) readExprBody(r *http.Request) ([]byte, []exprOperand, error) {
 				continue
 			}
 		}
+		d := store.DigestOf(data)
 		if err := s.verifyDigest(r.Context(), fmt.Sprintf("operand %d (%s)", i, fh.Filename),
-			fh.Header.Get("Content-Digest"), data); err != nil {
-			return nil, nil, err
+			fh.Header.Get("Content-Digest"), d, len(data)); err != nil {
+			return nil, err
 		}
 		stats.add(int64(len(data)))
 		ev.AddOperand("inline", int64(len(data)))
-		operands = append(operands, exprOperand{data: data, digest: store.DigestOf(data)})
+		operands = append(operands, exprOperand{data: data, digest: d})
 	}
-	return src, operands, nil
+	return operands, nil
 }
 
-// exprError maps an expression-pipeline error onto a status: 400 for
-// structural expression errors, 404 for digest leaves the store does not
-// hold, 413 for size-guard violations, otherwise the phase default
-// (400 while reading the request, 422 once evaluation started).
+// exprError maps an expression or operand error onto a status: 400 for
+// structural expression errors, 404 for an unknown /op operator or a
+// digest the store does not hold, 413 for size-guard violations,
+// otherwise the phase default (400 while reading the request, 422 once
+// evaluation started).
 func (s *service) exprError(w http.ResponseWriter, r *http.Request, err error, fallback int) {
 	if r.Context().Err() != nil {
 		return // the timeout middleware already answered
@@ -342,7 +387,7 @@ func (s *service) exprError(w http.ResponseWriter, r *http.Request, err error, f
 	switch {
 	case errors.As(err, &pe):
 		code = http.StatusBadRequest
-	case errors.As(err, &miss):
+	case errors.As(err, &miss), errors.Is(err, expr.ErrUnknownOp):
 		code = http.StatusNotFound
 	case errors.As(err, &mbe), errors.Is(err, errTooLarge), errors.Is(err, cubexml.ErrLimit),
 		strings.Contains(err.Error(), "request body too large"):

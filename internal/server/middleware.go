@@ -292,7 +292,8 @@ func (s *service) withRequestID(h http.Handler) http.Handler {
 // --- telemetry: structured request log + route metrics -------------------------
 
 // reqStats accumulates per-request facts (operand sizes) for the log line;
-// it travels in the request context so readOperands can report into it.
+// it travels in the request context so the operand readers can report
+// into it.
 type reqStats struct {
 	mu       sync.Mutex
 	operands []int64

@@ -16,13 +16,10 @@ package server
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
-	"mime/multipart"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -49,13 +46,15 @@ var errTooLarge = errors.New("request exceeds limits")
 
 // Handler returns the service's HTTP handler with DefaultConfig:
 //
-//	POST /op/{difference|merge|mean|sum|min|max}
+//	POST /op/{difference|merge|mean|sum|min|max|stddev}
 //	    multipart form, ordered file fields "operand"; optional query
 //	    params callmatch=callee|callee+line, system=auto|collapse|copy-first.
 //	    Response: the derived experiment as CUBE XML.
-//	POST /op/{flatten|prune|extract}
+//	POST /op/{flatten|prune|extract|scale}
 //	    one "operand"; prune: ?metric=<path>&threshold=<frac>;
-//	    extract: repeated ?metric=<path>.
+//	    extract: repeated ?metric=<path>; scale: ?factor=<number>.
+//	    Each /op request is the one-node expression of /expr's operator
+//	    table (expr.OpNode), so both routes accept the same operators.
 //	POST /expr
 //	    evaluate a whole algebra DAG server-side: an application/json
 //	    body (or a multipart "expr" field plus ordered "operand" files)
@@ -220,7 +219,7 @@ func NewHandler(cfg *Config) http.Handler {
 }
 
 func (s *service) handleReport(w http.ResponseWriter, r *http.Request) {
-	operands, ok := s.operands(w, r)
+	operands, ok := s.privateOperands(w, r)
 	if !ok {
 		return
 	}
@@ -310,133 +309,15 @@ func httpError(w http.ResponseWriter, r *http.Request, code int, format string, 
 	http.Error(w, msg, code)
 }
 
-// operands parses the request's operand files and writes the appropriate
-// error response on failure: 413 for size-guard violations, 404 for a
-// digest reference the store does not hold, 400 otherwise.
-func (s *service) operands(w http.ResponseWriter, r *http.Request) ([]*core.Experiment, bool) {
-	ops, err := s.readOperands(r)
-	if err != nil {
-		if r.Context().Err() != nil {
-			// The request deadline fired mid-parse; the timeout
-			// middleware already answered for us.
-			return nil, false
-		}
-		code := http.StatusBadRequest
-		var mbe *http.MaxBytesError
-		var miss *storeMissError
-		if errors.As(err, &mbe) || errors.Is(err, errTooLarge) || errors.Is(err, cubexml.ErrLimit) ||
-			strings.Contains(err.Error(), "request body too large") {
-			code = http.StatusRequestEntityTooLarge
-		} else if errors.As(err, &miss) {
-			code = http.StatusNotFound
-		}
-		httpError(w, r, code, "%v", err)
-		return nil, false
-	}
-	return ops, true
-}
-
-// readOperands parses the multipart "operand" parts, in form order,
-// enforcing the operand-count, per-file-byte, and XML structural caps and
-// abandoning work when the request context is done. A part whose body is
-// `digest:<sha256>` resolves from the experiment store instead; every
-// referenced blob stays pinned until resolution of all operands is
-// complete, so budget-pressure eviction cannot race an in-flight request.
-func (s *service) readOperands(r *http.Request) ([]*core.Experiment, error) {
-	// Spill large uploads to disk instead of holding them in memory; the
-	// total is already bounded by the MaxBytesReader middleware.
-	if err := r.ParseMultipartForm(8 << 20); err != nil {
-		return nil, fmt.Errorf("parsing multipart form: %w", err)
-	}
-	var files []*multipart.FileHeader
-	if r.MultipartForm != nil {
-		files = r.MultipartForm.File["operand"]
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf(`no "operand" files in request`)
-	}
-	if s.cfg.MaxOperands > 0 && len(files) > s.cfg.MaxOperands {
-		return nil, fmt.Errorf("%w: %d operands exceed the limit of %d", errTooLarge, len(files), s.cfg.MaxOperands)
-	}
-	stats := statsFrom(r.Context())
-	ev := obs.EventFromContext(r.Context())
-	var pinned []store.Digest
-	if s.cfg.Store != nil {
-		defer func() {
-			for _, d := range pinned {
-				s.cfg.Store.Unpin(d)
-			}
-		}()
-	}
-	var out []*core.Experiment
-	for i, fh := range files {
-		if err := r.Context().Err(); err != nil {
-			return nil, err
-		}
-		if s.cfg.MaxFileBytes > 0 && fh.Size > s.cfg.MaxFileBytes {
-			return nil, fmt.Errorf("%w: operand %d is %d bytes (per-file limit %d)", errTooLarge, i, fh.Size, s.cfg.MaxFileBytes)
-		}
-		f, err := fh.Open()
-		if err != nil {
-			return nil, fmt.Errorf("operand %d: %w", i, err)
-		}
-		// Peek at the head of the part: digest references are short
-		// (`digest:` + 64 hex chars) and must fit the peek buffer whole;
-		// literal CUBE XML starts with '<' and streams on unharmed.
-		peek := make([]byte, digestRefPeek)
-		n, rerr := io.ReadFull(f, peek)
-		if rerr != nil && rerr != io.ErrUnexpectedEOF && rerr != io.EOF {
-			f.Close()
-			return nil, fmt.Errorf("operand %d: %w", i, rerr)
-		}
-		if d, ok := parseDigestRef(peek[:n]); ok && n < len(peek) {
-			f.Close()
-			e, size, err := s.resolveDigestOperand(r.Context(), i, d, &pinned)
-			if err != nil {
-				return nil, err
-			}
-			stats.add(size)
-			ev.AddOperand("digest", size)
-			out = append(out, e)
-			continue
-		}
-		stats.add(fh.Size)
-		ev.AddOperand("inline", fh.Size)
-		body := io.MultiReader(bytes.NewReader(peek[:n]), f)
-		var e *core.Experiment
-		if s.cache != nil {
-			// The cache needs the full bytes for content addressing; the
-			// size is already bounded by MaxFileBytes and MaxBytesReader.
-			data, rerr := io.ReadAll(body)
-			f.Close()
-			if rerr != nil {
-				return nil, fmt.Errorf("operand %d: %w", i, rerr)
-			}
-			if err := s.verifyDigest(r.Context(), fmt.Sprintf("operand %d (%s)", i, fh.Filename),
-				fh.Header.Get("Content-Digest"), data); err != nil {
-				return nil, err
-			}
-			e, err = s.cache.get(r.Context(), data)
-		} else {
-			e, err = cubexml.ReadWith(r.Context(), body, cubexml.ReadOptions{Limits: s.cfg.XML, Engine: s.cfg.ReadEngine})
-			f.Close()
-		}
-		if err != nil {
-			return nil, fmt.Errorf("operand %d: %w", i, err)
-		}
-		out = append(out, e)
-	}
-	return out, nil
-}
-
 // verifyDigest checks an upload's Content-Digest header (RFC 9530, sent
-// by the bundled client) against the received bytes — trust but verify.
+// by the bundled client) against got, the digest of the size received
+// bytes — trust but verify.
 // A mismatch means corruption somewhere between the sender's hashing and
 // us. By default it is logged and counted and the bytes are processed as
 // received (the cache keys on the server-computed digest regardless);
 // with Config.DigestStrict the mismatch is returned as an error and the
 // request is rejected instead.
-func (s *service) verifyDigest(ctx context.Context, what, header string, data []byte) error {
+func (s *service) verifyDigest(ctx context.Context, what, header string, got store.Digest, size int) error {
 	if header == "" {
 		return nil
 	}
@@ -444,7 +325,7 @@ func (s *service) verifyDigest(ctx context.Context, what, header string, data []
 	if !ok {
 		return nil // no sha-256 entry, or unparseable: nothing to check against
 	}
-	if sha256.Sum256(data) == want {
+	if store.Digest(want) == got {
 		return nil
 	}
 	if s.reg != nil {
@@ -453,7 +334,7 @@ func (s *service) verifyDigest(ctx context.Context, what, header string, data []
 	s.logError(ctx, "content digest mismatch",
 		slog.String("what", what),
 		slog.Bool("strict", s.cfg.DigestStrict),
-		slog.Int64("bytes", int64(len(data))))
+		slog.Int("bytes", size))
 	if s.cfg.DigestStrict {
 		return fmt.Errorf("%s: Content-Digest header does not match the received bytes", what)
 	}
@@ -499,8 +380,11 @@ func (s *service) writeExperiment(w http.ResponseWriter, r *http.Request, e *cor
 	buf.WriteTo(w)
 }
 
+// handleOp applies one operator: POST /op/{op} is the one-node expression
+// the operator table (expr.OpNode) builds from the path and the query,
+// applied to the request's operands. Unlike /expr it bypasses the result
+// cache: its results rarely repeat (see DESIGN.md §10).
 func (s *service) handleOp(w http.ResponseWriter, r *http.Request) {
-	opName := r.PathValue("op")
 	opts, err := options(r)
 	if err != nil {
 		httpError(w, r, http.StatusBadRequest, "%v", err)
@@ -513,71 +397,22 @@ func (s *service) handleOp(w http.ResponseWriter, r *http.Request) {
 	// can attribute shards, tuples, cells, and compute time to it.
 	opts.Trace = obs.SpanFromContext(r.Context())
 	opts.Event = obs.EventFromContext(r.Context())
-	operands, ok := s.operands(w, r)
-	if !ok {
+	operands, err := s.resolveOperands(r)
+	if err != nil {
+		s.exprError(w, r, err, http.StatusBadRequest)
+		return
+	}
+	node, err := expr.OpNode(r.PathValue("op"), r.URL.Query(), len(operands))
+	if err != nil {
+		s.exprError(w, r, err, http.StatusBadRequest)
 		return
 	}
 	if ctxDone(w, r) {
 		return
 	}
-	binaryOnly := func() bool {
-		if len(operands) != 2 {
-			httpError(w, r, http.StatusBadRequest, "%s needs exactly 2 operands, got %d", opName, len(operands))
-			return false
-		}
-		return true
-	}
-	unaryOnly := func() bool {
-		if len(operands) != 1 {
-			httpError(w, r, http.StatusBadRequest, "%s needs exactly 1 operand, got %d", opName, len(operands))
-			return false
-		}
-		return true
-	}
-	var result *core.Experiment
-	switch opName {
-	case "difference":
-		if !binaryOnly() {
-			return
-		}
-		result, err = core.Difference(operands[0], operands[1], opts)
-	case "merge":
-		result, err = core.MergeAll(opts, operands...)
-	case "mean":
-		result, err = core.Mean(opts, operands...)
-	case "sum":
-		result, err = core.Sum(opts, operands...)
-	case "min":
-		result, err = core.Min(opts, operands...)
-	case "max":
-		result, err = core.Max(opts, operands...)
-	case "flatten":
-		if !unaryOnly() {
-			return
-		}
-		result, err = core.Flatten(operands[0])
-	case "extract":
-		if !unaryOnly() {
-			return
-		}
-		metrics := r.URL.Query()["metric"]
-		result, err = core.ExtractMetrics(operands[0], metrics...)
-	case "prune":
-		if !unaryOnly() {
-			return
-		}
-		threshold, perr := strconv.ParseFloat(r.URL.Query().Get("threshold"), 64)
-		if perr != nil {
-			httpError(w, r, http.StatusBadRequest, "bad threshold: %v", perr)
-			return
-		}
-		result, err = core.Prune(operands[0], r.URL.Query().Get("metric"), threshold)
-	default:
-		httpError(w, r, http.StatusNotFound, "unknown operation %q", opName)
-		return
-	}
+	result, err := node.Apply(opts, operands)
 	if err != nil {
-		httpError(w, r, http.StatusUnprocessableEntity, "%v", err)
+		s.exprError(w, r, err, http.StatusUnprocessableEntity)
 		return
 	}
 	if ctxDone(w, r) {
@@ -586,8 +421,23 @@ func (s *service) handleOp(w http.ResponseWriter, r *http.Request) {
 	s.writeExperiment(w, r, result)
 }
 
+// privateOperands resolves the request's operands into clones the
+// handler owns: the display code's map accessors may build an
+// experiment's severity map lazily, which a shared master must never see.
+func (s *service) privateOperands(w http.ResponseWriter, r *http.Request) ([]*core.Experiment, bool) {
+	operands, err := s.resolveOperands(r)
+	if err != nil {
+		s.exprError(w, r, err, http.StatusBadRequest)
+		return nil, false
+	}
+	for i, e := range operands {
+		operands[i] = e.Clone()
+	}
+	return operands, true
+}
+
 func (s *service) handleView(w http.ResponseWriter, r *http.Request) {
-	operands, ok := s.operands(w, r)
+	operands, ok := s.privateOperands(w, r)
 	if !ok {
 		return
 	}
@@ -651,7 +501,7 @@ func (s *service) handleView(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *service) handleInfo(w http.ResponseWriter, r *http.Request) {
-	operands, ok := s.operands(w, r)
+	operands, ok := s.privateOperands(w, r)
 	if !ok {
 		return
 	}

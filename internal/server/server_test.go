@@ -281,6 +281,41 @@ func TestErrorResponses(t *testing.T) {
 		t.Errorf("unknown view metric status %d", resp.StatusCode)
 	}
 	readAll(t, resp)
+	// /op/{op} is the one-node expression the operator table builds from
+	// the path and query: the table's parameter checks are its 400s, the
+	// operator's own failures its 422s.
+	for _, c := range []struct {
+		path string
+		want int
+	}{
+		{"/op/Difference", http.StatusNotFound}, // names match the table exactly
+		{"/op/scale", http.StatusBadRequest},
+		{"/op/scale?factor=banana", http.StatusBadRequest},
+		{"/op/scale?factor=NaN", http.StatusBadRequest},
+		{"/op/prune?threshold=0.5", http.StatusBadRequest},
+		{"/op/prune?metric=Nope&threshold=0.5", http.StatusUnprocessableEntity},
+		{"/op/extract", http.StatusBadRequest},
+	} {
+		resp = post(t, srv, c.path, e)
+		if body := readAll(t, resp); resp.StatusCode != c.want {
+			t.Errorf("%s: status %d, want %d (%s)", c.path, resp.StatusCode, c.want, body)
+		}
+	}
+	resp = post(t, srv, "/op/scale?factor=2", e)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("scale status %d: %s", resp.StatusCode, readAll(t, resp))
+	}
+	got, err := cubexml.Read(strings.NewReader(readAll(t, resp)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.Scale(e, 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !core.AlmostEqual(got, want, 1e-12) || got.Operation != "scale" {
+		t.Errorf("/op/scale?factor=2 differs from core.Scale")
+	}
 }
 
 // TestDefaultHandler smoke-tests the zero-config entry point.
@@ -311,6 +346,8 @@ func TestOperandCountErrors(t *testing.T) {
 		{"/op/flatten", 2},
 		{"/op/extract?metric=Time", 2},
 		{"/op/prune?metric=Time&threshold=0.5", 2},
+		{"/op/scale?factor=2", 2},
+		{"/op/stddev", 1},
 		{"/view", 2},
 		{"/report", 2},
 		{"/info", 3},
@@ -326,13 +363,18 @@ func TestOperandCountErrors(t *testing.T) {
 			t.Errorf("%s with %d operands: status %d, want 400 (%s)", c.path, c.operands, resp.StatusCode, body)
 		}
 	}
-	// The n-ary operators accept any positive count, including one.
+	// The n-ary operators accept any positive count, including one;
+	// stddev needs two.
 	for _, op := range []string{"merge", "mean", "sum", "min", "max"} {
 		resp := post(t, srv, "/op/"+op, e)
 		body := readAll(t, resp)
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("unary %s: status %d (%s)", op, resp.StatusCode, body)
 		}
+	}
+	resp := post(t, srv, "/op/stddev", e, buildExp("y", 0.5))
+	if body := readAll(t, resp); resp.StatusCode != http.StatusOK {
+		t.Errorf("stddev of 2: status %d (%s)", resp.StatusCode, body)
 	}
 }
 

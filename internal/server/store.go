@@ -19,7 +19,6 @@ package server
 // from under an in-flight request.
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/base64"
 	"encoding/json"
@@ -31,9 +30,7 @@ import (
 	"strings"
 	"time"
 
-	"cube/internal/core"
 	"cube/internal/cubexml"
-	"cube/internal/obs"
 	"cube/internal/store"
 )
 
@@ -55,53 +52,13 @@ func parseDigestRef(b []byte) (store.Digest, bool) {
 }
 
 // storeMissError is a digest reference to a blob the store does not hold;
-// operands() maps it to 404 so clients know to upload and retry.
+// exprError maps it to 404 so clients know to upload and retry.
 type storeMissError struct {
-	operand int
-	digest  string
+	digest string
 }
 
 func (e *storeMissError) Error() string {
-	who := fmt.Sprintf("operand %d", e.operand)
-	if e.operand < 0 {
-		who = "expression leaf"
-	}
-	return fmt.Sprintf("%s: experiment %s is not in the store (upload it with PUT /experiments/%s)",
-		who, e.digest, e.digest)
-}
-
-// resolveDigestOperand turns a digest reference into a parsed experiment:
-// pin (recorded in *pinned; the caller unpins when resolution of all
-// operands is complete), read the verified bytes, parse — through the
-// content-addressed parse cache when enabled, so a repeatedly referenced
-// operand is decoded exactly once.
-func (s *service) resolveDigestOperand(ctx context.Context, i int, d store.Digest, pinned *[]store.Digest) (*core.Experiment, int64, error) {
-	st := s.cfg.Store
-	if st == nil {
-		return nil, 0, fmt.Errorf("operand %d is a digest reference but no experiment store is configured", i)
-	}
-	if !st.Pin(d) {
-		return nil, 0, &storeMissError{operand: i, digest: d.String()}
-	}
-	*pinned = append(*pinned, d)
-	obs.EventFromContext(ctx).AddStorePin()
-	data, err := st.GetContext(ctx, d)
-	if err != nil {
-		if errors.Is(err, store.ErrNotFound) {
-			return nil, 0, &storeMissError{operand: i, digest: d.String()}
-		}
-		return nil, 0, fmt.Errorf("operand %d: %w", i, err)
-	}
-	var e *core.Experiment
-	if s.cache != nil {
-		e, err = s.cache.get(ctx, data)
-	} else {
-		e, err = cubexml.ReadBytes(ctx, data, cubexml.ReadOptions{Limits: s.cfg.XML, Engine: s.cfg.ReadEngine})
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("operand %d (digest %s): %w", i, d, err)
-	}
-	return e, int64(len(data)), nil
+	return fmt.Sprintf("experiment %s is not in the store (upload it with PUT /experiments/%s)", e.digest, e.digest)
 }
 
 // parseExperimentDigest extracts the {digest} path value.
@@ -174,7 +131,7 @@ func (s *service) handleExperimentPut(w http.ResponseWriter, r *http.Request) {
 			"body hashes to %s, URL names %s: refusing to store corrupt upload", got, d)
 		return
 	}
-	if err := s.verifyDigest(r.Context(), "PUT /experiments", r.Header.Get("Content-Digest"), data); err != nil {
+	if err := s.verifyDigest(r.Context(), "PUT /experiments", r.Header.Get("Content-Digest"), d, len(data)); err != nil {
 		httpError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -183,7 +140,7 @@ func (s *service) handleExperimentPut(w http.ResponseWriter, r *http.Request) {
 	// through the cache also pre-warms the entry the first digest
 	// reference will hit.
 	if s.cache != nil {
-		_, err = s.cache.get(r.Context(), data)
+		_, _, err = s.cache.parse(r.Context(), d, data)
 	} else {
 		_, err = cubexml.ReadBytes(r.Context(), data, cubexml.ReadOptions{Limits: s.cfg.XML, Engine: s.cfg.ReadEngine})
 	}
