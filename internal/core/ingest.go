@@ -77,7 +77,7 @@ func (in *SeverityIngest) RowKey(mi, ci int) uint64 {
 // allocation work.
 func (in *SeverityIngest) Commit(keys []uint64, vals []float64, sorted bool) {
 	if !sorted {
-		keys, vals = radixSortKV(keys, vals)
+		radixSortKV(keys, vals)
 	}
 	e := in.e
 	e.sevGen++

@@ -103,7 +103,8 @@ func (e *Experiment) loweredBlock() *sevBlock {
 		keys = append(keys, (uint64(mi)*nC+uint64(ci))*nT+uint64(ti))
 		vals = append(vals, v)
 	}
-	keys, vals = radixSortKV(keys, vals)
+	keys, vals = exactSize(keys, vals)
+	radixSortKV(keys, vals)
 	e.lowered = &sevBlock{key: keys, val: vals, nC: nC, nT: nT}
 	e.loweredSevGen = e.sevGen
 	e.loweredMetaGen = e.metaGen
@@ -128,17 +129,19 @@ type radixBufs struct {
 	v []float64
 }
 
-// radixSortKV sorts keys ascending (LSD radix, byte digits) keeping vals
-// parallel, and returns the sorted pair (which may be the pooled scratch
-// rather than the input slices — callers must use the return values). All
-// digit histograms are gathered in a single pre-pass; digit positions where
-// every key agrees are skipped, so small key spaces sort in two or three
-// scatter passes, ping-ponging between the input and the scratch buffers
-// with no copy-back.
-func radixSortKV(keys []uint64, vals []float64) ([]uint64, []float64) {
+// radixSortKV sorts keys ascending (LSD radix, byte digits) in place,
+// keeping vals parallel. All digit histograms are gathered in a single
+// pre-pass; digit positions where every key agrees are skipped, so small
+// key spaces sort in two or three scatter passes, ping-ponging between the
+// input and the pooled scratch buffers. When an odd number of passes leaves
+// the data in the scratch, it is copied back: the sorted pair always
+// occupies the caller's slices, so a result stored from them is exactly as
+// large as the caller allocated it — never a pooled buffer sized for some
+// earlier, larger sort.
+func radixSortKV(keys []uint64, vals []float64) {
 	n := len(keys)
 	if n < 2 {
-		return keys, vals
+		return
 	}
 	var maxKey uint64
 	for _, k := range keys {
@@ -148,7 +151,7 @@ func radixSortKV(keys []uint64, vals []float64) ([]uint64, []float64) {
 	}
 	passes := (bits.Len64(maxKey) + 7) / 8
 	if passes == 0 {
-		return keys, vals
+		return
 	}
 	var counts [8][257]int
 	for _, k := range keys {
@@ -182,10 +185,11 @@ func radixSortKV(keys []uint64, vals []float64) ([]uint64, []float64) {
 		src, dst = dst, src
 		srcV, dstV = dstV, srcV
 	}
-	// src now holds the sorted data; give the other pair back to the pool.
-	bufs.k, bufs.v = dst, dstV
+	if &src[0] != &keys[0] {
+		copy(keys, src)
+		copy(vals, srcV)
+	}
 	radixScratch.Put(bufs)
-	return src, srcV
 }
 
 // remapTable maps each source enumeration index of one operand onto the
@@ -399,8 +403,17 @@ func (p *kernelPlan) kernelCombine(weights []float64, keep [][]bool) {
 		stage.done("accumulate")
 		stage = startKernelStage()
 		msp := p.span.StartChild("materialize")
-		keys := make([]uint64, 0, p.total)
-		vals := make([]float64, 0, p.total)
+		// Count first so the output is allocated at its exact size: it
+		// becomes a cached result's store, and capacity sized for the
+		// operands' combined tuples would pin about n× its length.
+		n := 0
+		for _, v := range acc {
+			if v != 0 {
+				n++
+			}
+		}
+		keys := make([]uint64, 0, n)
+		vals := make([]float64, 0, n)
 		for key, v := range acc {
 			if v != 0 {
 				keys = append(keys, uint64(key))
@@ -576,12 +589,14 @@ func (p *kernelPlan) kernelFold(finish func(folded []float64) float64) {
 // stage, and the pointer-keyed sparse map is left unmaterialised —
 // Experiment.ensureSev builds it lazily if a map-based accessor is ever
 // used. Exact zeros were dropped by the accumulators, preserving the
-// zero-deletion invariant.
+// zero-deletion invariant. The stored slices are exact-size, so a cached
+// result occupies what ResidentBytes charges for it.
 func (p *kernelPlan) install(keys []uint64, vals []float64, sorted bool, parent *obs.Span) {
+	keys, vals = exactSize(keys, vals)
 	if !sorted {
 		rsp := parent.StartChild("radix-sort")
 		rsp.SetAttr("keys", len(keys))
-		keys, vals = radixSortKV(keys, vals)
+		radixSortKV(keys, vals)
 		rsp.End()
 	}
 	out := p.in.out
@@ -590,6 +605,19 @@ func (p *kernelPlan) install(keys []uint64, vals []float64, sorted bool, parent 
 	out.lowered = &sevBlock{key: keys, val: vals, nC: p.nC, nT: p.nT}
 	out.loweredSevGen = out.sevGen
 	out.loweredMetaGen = out.metaGen
+}
+
+// exactSize returns the pair with capacity equal to length, copying only
+// when dropped zeros (or skipped tuples) left spare capacity behind.
+func exactSize(keys []uint64, vals []float64) ([]uint64, []float64) {
+	if cap(keys) == len(keys) && cap(vals) == len(vals) {
+		return keys, vals
+	}
+	k := make([]uint64, len(keys))
+	v := make([]float64, len(vals))
+	copy(k, keys)
+	copy(v, vals)
+	return k, v
 }
 
 // mergeKeep builds Merge's per-operand ownership masks over source metric

@@ -75,7 +75,7 @@ func TestRadixSortKV(t *testing.T) {
 			want[i] = kv{keys[i], vals[i]}
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i].k < want[j].k })
-		keys, vals = radixSortKV(keys, vals)
+		radixSortKV(keys, vals)
 		for i := range want {
 			if keys[i] != want[i].k || vals[i] != want[i].v {
 				t.Fatalf("n=%d: entry %d = (%d, %v), want (%d, %v)",
@@ -90,7 +90,7 @@ func TestRadixSortKVSharedDigits(t *testing.T) {
 	// without disturbing the order established by the other passes.
 	keys := []uint64{0x0300_07, 0x0100_07, 0x0200_07, 0x0102_07}
 	vals := []float64{3, 1, 2, 1.5}
-	keys, vals = radixSortKV(keys, vals)
+	radixSortKV(keys, vals)
 	wantK := []uint64{0x0100_07, 0x0102_07, 0x0200_07, 0x0300_07}
 	wantV := []float64{1, 1.5, 2, 3}
 	for i := range wantK {

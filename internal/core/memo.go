@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"sync/atomic"
+	"unsafe"
 
 	"cube/internal/lru"
 )
@@ -90,23 +91,21 @@ type memoEntry struct {
 
 // newMemoEntry snapshots a freshly computed full integration. The skeleton
 // is cloned *before* the caller runs kernels and stamps provenance onto
-// in.out, so the entry stays severity- and title-free.
+// in.out, so the entry stays severity- and title-free. The entry is
+// charged what it occupies: the skeleton's ResidentBytes plus the tables.
 func newMemoEntry(in *integration) *memoEntry {
-	tabs := in.tables()
-	out := in.out
-	var tabBytes int64
-	for _, rt := range tabs {
-		tabBytes += int64(len(rt.m)+len(rt.c)+len(rt.t)) * 4
-	}
-	// Struct sizes dominate; strings are interned/shared and not charged.
-	nodes := int64(len(out.metrics) + len(out.cnodes) + len(out.threads) + len(out.procs))
-	meta := int64(len(out.regions)+len(out.callSites))*96 + nodes*112
-	return &memoEntry{
-		skel:      out.Clone(),
-		tabs:      tabs,
+	ent := &memoEntry{
+		skel:      in.out.Clone(),
+		tabs:      in.tables(),
 		metricSrc: in.metricSrcs(),
-		bytes:     512 + meta + tabBytes + int64(len(in.metricSrc))*4,
 	}
+	ent.bytes = allocBytes(int64(unsafe.Sizeof(*ent))) + ent.skel.ResidentBytes() +
+		allocBytes(int64(cap(ent.tabs))*int64(unsafe.Sizeof(remapTable{}))) +
+		allocBytes(int64(cap(ent.metricSrc))*4)
+	for _, rt := range ent.tabs {
+		ent.bytes += allocBytes(int64(cap(rt.m))*4) + allocBytes(int64(cap(rt.c))*4) + allocBytes(int64(cap(rt.t))*4)
+	}
+	return ent
 }
 
 // open instantiates a cached integration for a concrete operand tuple.

@@ -52,7 +52,8 @@ func deriveProvenance(in *integration, op string, operands []*Experiment) {
 
 // presize replaces the result's severity store with one sized for the
 // operands' combined tuple count, avoiding incremental rehashing on large
-// experiments (legacy engine; the kernel sizes its store exactly).
+// experiments. Legacy engine only: the kernel stores its columnar output
+// at exactly the result's tuple count (kernelPlan.install).
 func presize(out *Experiment, operands []*Experiment) {
 	est := 0
 	for _, x := range operands {

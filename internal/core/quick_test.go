@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"cube/internal/obs"
 )
 
 // randomExperiment builds a random but valid experiment. Names are drawn
@@ -340,31 +342,60 @@ func TestQuickCloneFaithful(t *testing.T) {
 // dyadic (see randomExperiment), so all sums are exact and fingerprint
 // equality is the right notion of sameness. Runs under -race, which also
 // exercises the sharded workers for data races.
+//
+// Every kernel result is also stored exact-size (cap == len for the
+// block's keys and values), on the dense accumulator and — with padded
+// call trees — on the sparse one: a cached result must occupy what
+// ResidentBytes charges for it, not the operands' combined tuple count.
 func TestQuickEngineEquivalence(t *testing.T) {
 	systems := []SystemMode{SystemAuto, SystemCollapse, SystemCopyFirst}
 	workerCounts := []int{1, 2, 4}
-	f := func(seedA, seedB int64, sysRaw, wRaw uint8) bool {
+	sink := obs.NewEventSink(8)
+	f := func(seedA, seedB int64, sysRaw, wRaw uint8, sparse bool) bool {
 		a := randomExperiment(rand.New(rand.NewSource(seedA)), "a")
 		b := randomExperiment(rand.New(rand.NewSource(seedB)), "b")
+		if sparse {
+			padCallTree(a, 1200)
+			padCallTree(b, 1200)
+		}
 		sys := systems[int(sysRaw)%len(systems)]
 		kernel := &Options{System: sys, Engine: EngineKernel, Workers: workerCounts[int(wRaw)%len(workerCounts)]}
 		legacy := &Options{System: sys, Engine: EngineLegacy}
-		ops := []func(o *Options) (*Experiment, error){
-			func(o *Options) (*Experiment, error) { return Difference(a, b, o) },
-			func(o *Options) (*Experiment, error) { return Sum(o, a, b) },
-			func(o *Options) (*Experiment, error) { return Mean(o, a, b) },
-			func(o *Options) (*Experiment, error) { return Merge(a, b, o) },
-			func(o *Options) (*Experiment, error) { return Min(o, a, b) },
-			func(o *Options) (*Experiment, error) { return Max(o, a, b) },
-			func(o *Options) (*Experiment, error) { return StdDev(o, a, b) },
+		ops := []struct {
+			fold bool // min, max and stddev run the fold accumulator
+			run  func(o *Options) (*Experiment, error)
+		}{
+			{false, func(o *Options) (*Experiment, error) { return Difference(a, b, o) }},
+			{false, func(o *Options) (*Experiment, error) { return Sum(o, a, b) }},
+			{false, func(o *Options) (*Experiment, error) { return Mean(o, a, b) }},
+			{false, func(o *Options) (*Experiment, error) { return Merge(a, b, o) }},
+			{true, func(o *Options) (*Experiment, error) { return Min(o, a, b) }},
+			{true, func(o *Options) (*Experiment, error) { return Max(o, a, b) }},
+			{true, func(o *Options) (*Experiment, error) { return StdDev(o, a, b) }},
 		}
-		for _, op := range ops {
-			k, errK := op(kernel)
-			l, errL := op(legacy)
+		for i, op := range ops {
+			kernel.Event = sink.NewEvent("cli", "")
+			k, errK := op.run(kernel)
+			l, errL := op.run(legacy)
 			if errK != nil || errL != nil {
 				return false
 			}
 			if k.Fingerprint() != l.Fingerprint() {
+				t.Logf("op %d: kernel and legacy results differ", i)
+				return false
+			}
+			want := "dense"
+			switch {
+			case op.fold:
+				want = "fold"
+			case sparse:
+				want = "sparse"
+			}
+			if got := kernel.Event.Fields().Accumulator; got != want {
+				t.Logf("op %d: accumulator %q, want %q", i, got, want)
+				return false
+			}
+			if !exactBlock(t, k) {
 				return false
 			}
 		}
@@ -373,4 +404,82 @@ func TestQuickEngineEquivalence(t *testing.T) {
 	if err := quick.Check(f, quickCfg()); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestKernelSparseSortInPooledBuffer covers the sparse result whose radix
+// sort ends in the pooled scratch buffer — one scatter pass, since every
+// key fits one byte — while the pool holds a buffer sized for an earlier,
+// larger sort. The result must still be stored exact-size, not as the
+// pooled buffer's prefix.
+func TestKernelSparseSortInPooledBuffer(t *testing.T) {
+	build := func(title string, v float64) *Experiment {
+		e := New(title)
+		m := e.NewMetric("Time", Seconds, "")
+		root := e.NewCallRoot(e.NewCallSite("app", 0, e.NewRegion("main", "app", 0, 0)))
+		padCallTree(e, 1200)
+		ths := e.SingleThreadedSystem("mach", 1, 4)
+		for i, th := range ths {
+			e.SetSeverity(m, root, th, v*float64(i+1))
+			e.SetSeverity(m, root.Children()[0], th, 2*v*float64(i+1))
+		}
+		return e
+	}
+	a, b := build("a", 1), build("b", 0.25)
+	// Lower the operands now, so the install is the only sort that can
+	// take the primed buffer below.
+	a.CompactSeverities()
+	b.CompactSeverities()
+	for _, op := range []func(o *Options) (*Experiment, error){
+		func(o *Options) (*Experiment, error) { return Difference(a, b, o) },
+		func(o *Options) (*Experiment, error) { return Mean(o, a, b) },
+		func(o *Options) (*Experiment, error) { return Max(o, a, b) },
+	} {
+		// Enlarge the buffer the next Get on this P returns (the pool's
+		// private slot is served before anything Put behind it).
+		bufs := radixScratch.Get().(*radixBufs)
+		bufs.k, bufs.v = make([]uint64, 1<<14), make([]float64, 1<<14)
+		radixScratch.Put(bufs)
+		ev := obs.NewEventSink(1).NewEvent("cli", "")
+		out, err := op(&Options{Engine: EngineKernel, Workers: 1, Event: ev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if acc := ev.Fields().Accumulator; acc == "dense" {
+			t.Fatalf("fixture selects the dense accumulator; enlarge it")
+		}
+		blk := out.lowered
+		if n := blk.len(); n < 2 || blk.key[n-1] > 0xff {
+			t.Fatalf("fixture keys span more than one radix digit (%d keys, max %d)", n, blk.key[n-1])
+		}
+		exactBlock(t, out)
+	}
+}
+
+// padCallTree appends n severity-free call nodes, each calling a region of
+// its own, under e's first call root. They leave the severities alone but
+// enlarge the integrated result domain until the kernel chooses its sparse
+// accumulator.
+func padCallTree(e *Experiment, n int) {
+	root := e.CallRoots()[0]
+	for i := 0; i < n; i++ {
+		root.NewChild(e.NewCallSite("pad", i, e.NewRegion(fmt.Sprintf("pad%d", i), "pad", 0, 0)))
+	}
+	e.Invalidate()
+}
+
+// exactBlock reports whether e's columnar block has cap == len for both
+// its keys and its values, failing t when not.
+func exactBlock(t *testing.T, e *Experiment) bool {
+	t.Helper()
+	b := e.lowered
+	if b == nil {
+		t.Errorf("%s: result has no columnar block", e.Title)
+		return false
+	}
+	if cap(b.key) != len(b.key) || cap(b.val) != len(b.val) {
+		t.Errorf("%s: block keys len %d cap %d, values len %d cap %d; want cap == len",
+			e.Title, len(b.key), cap(b.key), len(b.val), cap(b.val))
+		return false
+	}
+	return true
 }

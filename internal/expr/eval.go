@@ -24,7 +24,7 @@ import (
 //	cube_expr_cache_hits_total      result-cache hits (node granularity)
 //	cube_expr_cache_misses_total    operator nodes not found in the cache
 //	cube_expr_cache_evictions_total LRU evictions under the byte budget
-//	cube_expr_cache_bytes           resident size estimate of the cache
+//	cube_expr_cache_bytes           resident bytes of the cached results
 type Engine struct {
 	reg   *obs.Registry
 	cache *lru.Cache[resultKey, *core.Experiment] // compacted masters, shared read-only
@@ -102,7 +102,7 @@ func (g *Engine) Eval(ctx context.Context, plan *Plan, opts *core.Options, resol
 			return nil, 0, err
 		}
 		m := masters[plan.Root]
-		return m, estimateSize(m), nil
+		return m, m.ResidentBytes(), nil
 	})
 	if err != nil {
 		return nil, stats, err
@@ -221,7 +221,7 @@ func (g *Engine) evalAll(ctx context.Context, plan *Plan, fp string, opts *core.
 		// nodes, and for roots through the boundary clone its caller
 		// receives.
 		master.CompactSeverities()
-		g.cache.Add(key, master, estimateSize(master))
+		g.cache.Add(key, master, master.ResidentBytes())
 		results[n] = master
 		if isRoot[n] {
 			masters[n] = master

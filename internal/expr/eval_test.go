@@ -310,15 +310,15 @@ func TestEvalContextCancelled(t *testing.T) {
 // eviction counter moves.
 func TestResultCacheEviction(t *testing.T) {
 	reg := obs.NewRegistry()
-	rc := NewEngine(Config{CacheBytes: 2000, Metrics: reg}).cache // one tiny experiment (~1.5 KiB estimate) fits, two don't
+	rc := NewEngine(Config{CacheBytes: 2000, Metrics: reg}).cache // one tiny experiment (~1.6 KiB resident) fits, two don't
 	k1 := resultKey{node: sha256.Sum256([]byte("k1"))}
 	k2 := resultKey{node: sha256.Sum256([]byte("k2"))}
 	e1 := evalExperiment("e1", 1)
 	e2 := evalExperiment("e2", 2)
 	e1.CompactSeverities()
 	e2.CompactSeverities()
-	rc.Add(k1, e1, estimateSize(e1))
-	rc.Add(k2, e2, estimateSize(e2))
+	rc.Add(k1, e1, e1.ResidentBytes())
+	rc.Add(k2, e2, e2.ResidentBytes())
 	if _, ok := rc.Get(k1); ok {
 		t.Fatal("k1 should have been evicted")
 	}

@@ -25,11 +25,14 @@ import (
 // handed out shared, strictly read-only: operators never mutate operands,
 // and handlers that need a private copy clone it (two flat array copies
 // plus a metadata walk — no parsing, no per-tuple allocation). Concurrent
-// misses on the same key parse once; the rest wait and share the result or
-// the error. The cache holds at most budget bytes of operand input (the
-// decoded experiment is the same order of magnitude), evicting
-// least-recently-used entries; an operand larger than the whole budget is
-// parsed but never cached.
+// misses on the same key load and parse once; the rest wait and share the
+// result or the error. The cache holds at most budget bytes of operand
+// input, evicting least-recently-used entries; an operand larger than the
+// whole budget is parsed but never cached. Input bytes over-charge an
+// entry: a decoded master occupies about two thirds of its XML (a
+// 32×128×32 run: 1.12 MB of XML, 0.75 MB of heap). Charging resident
+// bytes instead would let the same budget hold about 1.5× more masters,
+// so the budget is kept on the safe side.
 type parseCache struct {
 	reg    *obs.Registry
 	limits cubexml.Limits
@@ -64,12 +67,17 @@ func (pc *parseCache) count(name string) {
 	}
 }
 
-// shared returns the cached master for data, whose content digest is d,
-// when it is columnar-only — zero-copy reuse of its already-lowered
-// severity block — falling back to a private clone otherwise. The caller
-// must treat the result as strictly read-only.
-func (pc *parseCache) shared(ctx context.Context, d store.Digest, data []byte) (*core.Experiment, error) {
-	ent, outcome, err := pc.parse(ctx, d, data)
+// bytesLoader supplies operand bytes the caller already holds.
+func bytesLoader(data []byte) func() ([]byte, error) {
+	return func() ([]byte, error) { return data, nil }
+}
+
+// shared returns the cached master for content digest d when it is
+// columnar-only — zero-copy reuse of its already-lowered severity block —
+// falling back to a private clone otherwise. load supplies the bytes on a
+// miss. The caller must treat the result as strictly read-only.
+func (pc *parseCache) shared(ctx context.Context, d store.Digest, load func() ([]byte, error)) (*core.Experiment, error) {
+	ent, outcome, err := pc.parse(ctx, d, load)
 	if err != nil {
 		return nil, err
 	}
@@ -92,11 +100,16 @@ func (pc *parseCache) shared(ctx context.Context, d store.Digest, data []byte) (
 	return ent.e.Clone(), nil
 }
 
-// parse returns the cached master for data, whose content digest is d,
-// parsing it on a miss.
-func (pc *parseCache) parse(ctx context.Context, d store.Digest, data []byte) (parsed, lru.Outcome, error) {
+// parse returns the cached master for content digest d. On a miss it
+// calls load for the bytes and parses them; a hit never calls load.
+func (pc *parseCache) parse(ctx context.Context, d store.Digest, load func() ([]byte, error)) (parsed, lru.Outcome, error) {
 	sp, _ := obs.StartSpanContext(ctx, "cubexml.cache")
+	var data []byte
 	ent, outcome, err := pc.lru.Do(d, func() (parsed, int64, error) {
+		var err error
+		if data, err = load(); err != nil {
+			return parsed{}, 0, err
+		}
 		pc.count("cube_parse_cache_misses_total")
 		master, err := cubexml.ReadBytes(ctx, data, cubexml.ReadOptions{Limits: pc.limits, Engine: pc.engine})
 		if err != nil {
@@ -112,7 +125,7 @@ func (pc *parseCache) parse(ctx context.Context, d store.Digest, data []byte) (p
 	}
 	if sp != nil {
 		sp.SetAttr("outcome", outcome.String())
-		sp.SetAttr("bytes", int64(len(data)))
+		sp.SetAttr("bytes", int64(len(data))) // 0 unless this call loaded them
 		if err != nil {
 			sp.SetAttr("error", err.Error())
 		} else {

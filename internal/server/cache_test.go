@@ -40,11 +40,11 @@ func TestParseCacheHitMiss(t *testing.T) {
 	data := encodeExp(t, want)
 	d := store.DigestOf(data)
 
-	first, err := pc.shared(context.Background(), d, data)
+	first, err := pc.shared(context.Background(), d, bytesLoader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := pc.shared(context.Background(), d, data)
+	second, err := pc.shared(context.Background(), d, bytesLoader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestParseCacheHitMiss(t *testing.T) {
 	clone := first.Clone()
 	m, c, th := clone.Metrics()[0], clone.CallNodes()[0], clone.Threads()[0]
 	clone.SetSeverity(m, c, th, 1e9)
-	third, err := pc.shared(context.Background(), d, data)
+	third, err := pc.shared(context.Background(), d, bytesLoader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestParseCacheSingleflightWait(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		close(release)
 	}()
-	got, err := pc.shared(context.Background(), store.DigestOf(data), data)
+	got, err := pc.shared(context.Background(), store.DigestOf(data), bytesLoader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestParseCacheSingleflightWait(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 		close(release)
 	}()
-	if _, err := pc.shared(context.Background(), badKey, []byte("bad")); err != wantErr {
+	if _, err := pc.shared(context.Background(), badKey, bytesLoader([]byte("bad"))); err != wantErr {
 		t.Errorf("waiter error = %v, want shared %v", err, wantErr)
 	}
 	<-done
@@ -148,7 +148,7 @@ func TestParseCacheEviction(t *testing.T) {
 	budget := int64(len(docs[0])+len(docs[1])) + 16 // room for two, not three
 	pc := newParseCache(budget, cubexml.DefaultLimits, cubexml.EngineAuto, reg)
 	for _, d := range docs {
-		if _, err := pc.shared(context.Background(), store.DigestOf(d), d); err != nil {
+		if _, err := pc.shared(context.Background(), store.DigestOf(d), bytesLoader(d)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -169,7 +169,7 @@ func TestParseCacheEviction(t *testing.T) {
 		t.Error("most recent entry was evicted")
 	}
 	// Re-fetching the evicted operand is a miss again.
-	if _, err := pc.shared(context.Background(), store.DigestOf(docs[0]), docs[0]); err != nil {
+	if _, err := pc.shared(context.Background(), store.DigestOf(docs[0]), bytesLoader(docs[0])); err != nil {
 		t.Fatal(err)
 	}
 	if got := counter(reg, "cube_parse_cache_misses_total"); got != 4 {
@@ -182,7 +182,7 @@ func TestParseCacheOversizedNotCached(t *testing.T) {
 	data := encodeExp(t, buildExp("big", 0))
 	pc := newParseCache(int64(len(data))-1, cubexml.DefaultLimits, cubexml.EngineAuto, reg)
 	for i := 0; i < 2; i++ {
-		if _, err := pc.shared(context.Background(), store.DigestOf(data), data); err != nil {
+		if _, err := pc.shared(context.Background(), store.DigestOf(data), bytesLoader(data)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,7 +220,7 @@ func TestParseCacheErrorReachesAllWaiters(t *testing.T) {
 	for i := 0; i < waiters; i++ {
 		go func() {
 			started.Done()
-			e, err := pc.shared(context.Background(), key, bad)
+			e, err := pc.shared(context.Background(), key, bytesLoader(bad))
 			results <- result{e, err}
 		}()
 	}
@@ -252,7 +252,7 @@ func TestParseCacheParseErrorNotCached(t *testing.T) {
 	bad := []byte("<cube this is not XML")
 	var lastErr error
 	for i := 0; i < 2; i++ {
-		if _, lastErr = pc.shared(context.Background(), store.DigestOf(bad), bad); lastErr == nil {
+		if _, lastErr = pc.shared(context.Background(), store.DigestOf(bad), bytesLoader(bad)); lastErr == nil {
 			t.Fatal("cache parsed garbage")
 		}
 	}
@@ -290,7 +290,7 @@ func TestParseCacheConcurrentMixed(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			for i := 0; i < iters; i++ {
 				k := r.Intn(len(docs))
-				e, err := pc.shared(context.Background(), store.DigestOf(docs[k]), docs[k])
+				e, err := pc.shared(context.Background(), store.DigestOf(docs[k]), bytesLoader(docs[k]))
 				if err != nil {
 					t.Errorf("shared: %v", err)
 					return
@@ -474,14 +474,14 @@ func BenchmarkParseCacheHit(b *testing.B) {
 	pc := newParseCache(1<<24, cubexml.DefaultLimits, cubexml.EngineAuto, reg)
 	data := encodeExp(b, buildExp("bench", 0))
 	d := store.DigestOf(data)
-	if _, err := pc.shared(context.Background(), d, data); err != nil {
+	if _, err := pc.shared(context.Background(), d, bytesLoader(data)); err != nil {
 		b.Fatal(err)
 	}
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pc.shared(context.Background(), d, data); err != nil {
+		if _, err := pc.shared(context.Background(), d, bytesLoader(data)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -501,7 +501,7 @@ func BenchmarkParseCacheMiss(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pc.shared(context.Background(), store.DigestOf(data), data); err != nil {
+		if _, err := pc.shared(context.Background(), store.DigestOf(data), bytesLoader(data)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -192,11 +192,12 @@ func (s *service) planExpr(src []byte, operands []exprOperand) (*expr.Plan, erro
 
 // exprResolver supplies leaf experiments to the evaluation engine and the
 // operand routes: inline operands parse through the content-addressed
-// parse cache, digest leaves resolve from the store (pinned into *pinned
-// for the caller to release). Both come back as the cache's shared
-// masters: operators never mutate operands, so a repeat request over the
-// same content digest reuses the cached master's lowered columnar block
-// outright instead of copying it (counted as cube_lower_cache_hits_total).
+// parse cache, and digest leaves resolve through it too, reading the
+// store only on a miss (pinned into *pinned for the caller to release).
+// Both come back as the cache's shared masters: operators never mutate
+// operands, so a repeat request over the same content digest reuses the
+// cached master's lowered columnar block outright instead of copying it
+// (counted as cube_lower_cache_hits_total).
 func (s *service) exprResolver(operands []exprOperand, pinned *[]store.Digest) expr.Resolver {
 	return func(ctx context.Context, leaf expr.Leaf) (*core.Experiment, error) {
 		switch leaf.Kind {
@@ -219,9 +220,15 @@ func (s *service) exprResolver(operands []exprOperand, pinned *[]store.Digest) e
 }
 
 // resolveDigestLeaf turns a digest reference into a parsed experiment:
-// pin (recorded in *pinned; the caller unpins), read the verified bytes,
-// parse through the parse cache, so a repeatedly referenced experiment is
-// decoded exactly once.
+// pin (recorded in *pinned; the caller unpins), then ask the parse cache,
+// which is keyed by the same content digest. Only a miss reads and
+// verifies the blob, inside the cache's flight, so concurrent misses read
+// it once. A cached master was parsed from bytes that were verified when
+// they were read (or uploaded), so serving it keeps the store's guarantee
+// that corrupt bytes are never served; a blob corrupted on disk since is
+// quarantined by the first read after its master leaves the cache. A
+// cache-answered leaf reports the store's recorded blob size as its
+// operand bytes.
 func (s *service) resolveDigestLeaf(ctx context.Context, d store.Digest, pinned *[]store.Digest) (*core.Experiment, error) {
 	st := s.cfg.Store
 	if st == nil {
@@ -233,23 +240,41 @@ func (s *service) resolveDigestLeaf(ctx context.Context, d store.Digest, pinned 
 	*pinned = append(*pinned, d)
 	ev := obs.EventFromContext(ctx)
 	ev.AddStorePin()
-	data, err := st.GetContext(ctx, d)
-	if err != nil {
+	size := int64(-1)
+	read := func() ([]byte, error) {
+		data, err := st.GetContext(ctx, d)
 		if errors.Is(err, store.ErrNotFound) {
 			return nil, &storeMissError{digest: d.String()}
 		}
-		return nil, err
+		if err == nil {
+			size = int64(len(data))
+		}
+		return data, err
 	}
-	ev.AddOperand("digest", int64(len(data)))
-	statsFrom(ctx).add(int64(len(data)))
-	return s.sharedExperiment(ctx, d, data)
+	var e *core.Experiment
+	var err error
+	if s.cache != nil {
+		e, err = s.cache.shared(ctx, d, read)
+	} else if data, rerr := read(); rerr != nil {
+		err = rerr
+	} else {
+		e, err = cubexml.ReadBytes(ctx, data, cubexml.ReadOptions{Limits: s.cfg.XML, Engine: s.cfg.ReadEngine})
+	}
+	if err == nil && size < 0 {
+		size, _ = st.Stat(d) // pinned, so still indexed
+	}
+	if size >= 0 {
+		ev.AddOperand("digest", size)
+		statsFrom(ctx).add(size)
+	}
+	return e, err
 }
 
-// sharedExperiment parses operand bytes, whose content digest is d,
-// through the parse cache when it is enabled. The result is read-only.
+// sharedExperiment parses inline operand bytes, whose content digest is
+// d, through the parse cache when it is enabled. The result is read-only.
 func (s *service) sharedExperiment(ctx context.Context, d store.Digest, data []byte) (*core.Experiment, error) {
 	if s.cache != nil {
-		return s.cache.shared(ctx, d, data)
+		return s.cache.shared(ctx, d, bytesLoader(data))
 	}
 	return cubexml.ReadBytes(ctx, data, cubexml.ReadOptions{Limits: s.cfg.XML, Engine: s.cfg.ReadEngine})
 }

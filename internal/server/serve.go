@@ -26,9 +26,20 @@ func Serve(ctx context.Context, ln net.Listener, cfg *Config) error {
 		h = NewHandler(cfg)
 	}
 	// NewHandler left the self-telemetry snapshotter on cfg when
-	// configured; its periodic loop shares the server's lifetime.
+	// configured; its periodic loop shares the server's lifetime. Serve
+	// returns only once the loop has stopped, so no snapshot is still
+	// writing into the store after it.
 	if cfg.self != nil && cfg.SelfInterval > 0 {
-		go cfg.self.Loop(ctx)
+		loopCtx, stop := context.WithCancel(ctx)
+		loopDone := make(chan struct{})
+		go func() {
+			defer close(loopDone)
+			cfg.self.Loop(loopCtx)
+		}()
+		defer func() {
+			stop()
+			<-loopDone
+		}()
 	}
 	var errorLog *log.Logger
 	if cfg.Logger != nil {

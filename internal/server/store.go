@@ -140,7 +140,7 @@ func (s *service) handleExperimentPut(w http.ResponseWriter, r *http.Request) {
 	// through the cache also pre-warms the entry the first digest
 	// reference will hit.
 	if s.cache != nil {
-		_, _, err = s.cache.parse(r.Context(), d, data)
+		_, _, err = s.cache.parse(r.Context(), d, bytesLoader(data))
 	} else {
 		_, err = cubexml.ReadBytes(r.Context(), data, cubexml.ReadOptions{Limits: s.cfg.XML, Engine: s.cfg.ReadEngine})
 	}

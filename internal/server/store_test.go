@@ -12,6 +12,8 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"testing"
@@ -452,5 +454,133 @@ func TestDigestStrict(t *testing.T) {
 	resp = postWithDigest(t, srv, "/op/flatten", doc, digestOf(doc))
 	if readAll(t, resp); resp.StatusCode != http.StatusOK {
 		t.Errorf("strict matching digest status = %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestDigestLeafServedFromParseCache pins the parse-cache-first resolve:
+// a digest leaf whose master is cached is answered without reading the
+// blob — even after the blob was corrupted on disk — and its event reports
+// the store's recorded size. Once the master leaves the parse cache, the
+// next resolve reads the blob, quarantines it and answers 404, as any
+// read of a corrupt blob does.
+func TestDigestLeafServedFromParseCache(t *testing.T) {
+	a := encodeExp(t, buildExp("a", 0.5))
+	b := encodeExp(t, buildExp("b-with-a-longer-title", 0.25))
+	da := store.DigestOf(a)
+	dir := t.TempDir()
+	ffs := store.NewFaultFS(nil)
+	reg := obs.NewRegistry()
+	st, err := store.Open(dir, store.Options{FS: ffs, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := obs.NewEventSink(16)
+	cfg := quietConfig()
+	cfg.Metrics = reg
+	cfg.Events = sink
+	cfg.Store = st
+	// Room for one cached master: the upload of b evicts a's.
+	cfg.ParseCacheBytes = int64(len(b)) + 1
+	srv := httptest.NewServer(NewHandler(cfg))
+	defer srv.Close()
+
+	resp := putExperiment(t, srv, da.String(), a, "")
+	if readAll(t, resp); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("PUT status = %d", resp.StatusCode)
+	}
+	// The upload parsed a, so the master is cached from verified bytes.
+	opens, emitted := ffs.Calls("open"), sink.Total()
+	resp = postParts(t, srv, "/op/flatten", operandPart{digest: da.String()})
+	want := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("first resolve status %d: %s", resp.StatusCode, want)
+	}
+	events := waitEvents(t, sink, emitted+1)
+	if f := events[len(events)-1]; f.StoreGets != 0 || f.StorePins != 1 || f.OperandBytes != int64(len(a)) {
+		t.Errorf("event store_gets %d, store_pins %d, operand_bytes %d; want 0, 1 and the stored size %d",
+			f.StoreGets, f.StorePins, f.OperandBytes, len(a))
+	}
+
+	// Corrupt the committed blob through the filesystem seam.
+	f, err := ffs.Create(filepath.Join(dir, "blobs", da.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write(bytes.Repeat([]byte("x"), len(a)))
+	f.Close()
+
+	resp = postParts(t, srv, "/op/flatten", operandPart{digest: da.String()})
+	if body := readAll(t, resp); resp.StatusCode != http.StatusOK || body != want {
+		t.Fatalf("cached resolve after corruption: status %d, same body %v", resp.StatusCode, body == want)
+	}
+	if got := ffs.Calls("open"); got != opens {
+		t.Errorf("cached resolves opened %d files, want none", got-opens)
+	}
+	if got := reg.CounterValue("cube_store_get_hits_total"); got != 0 {
+		t.Errorf("store reads = %d, want 0 while the master is cached", got)
+	}
+
+	// Evict a's master; the next resolve must read, verify, quarantine.
+	resp = putExperiment(t, srv, store.DigestOf(b).String(), b, "")
+	if readAll(t, resp); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("PUT b status = %d", resp.StatusCode)
+	}
+	resp = postParts(t, srv, "/op/flatten", operandPart{digest: da.String()})
+	if body := readAll(t, resp); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("resolve of the corrupt blob after eviction: status %d (%s), want 404", resp.StatusCode, body)
+	}
+	if got := reg.CounterValue("cube_store_quarantined_total"); got != 1 {
+		t.Errorf("quarantined = %d, want 1", got)
+	}
+	if _, ok := st.Stat(da); ok {
+		t.Error("the corrupt blob is still indexed")
+	}
+	quarantined, err := os.ReadDir(filepath.Join(dir, "quarantine"))
+	if err != nil || len(quarantined) != 1 {
+		t.Errorf("quarantine holds %d files (%v), want 1", len(quarantined), err)
+	}
+}
+
+// TestPinnedCachedBlobIsNotEvicted: a blob that is only ever pinned and
+// answered from the parse cache is still a recent use, so budget pressure
+// evicts a blob nobody asked for instead.
+func TestPinnedCachedBlobIsNotEvicted(t *testing.T) {
+	docs := [][]byte{
+		encodeExp(t, buildExp("hot", 0.5)),
+		encodeExp(t, buildExp("cold", 0.25)),
+		encodeExp(t, buildExp("new", 0.125)),
+	}
+	var total int64
+	for _, d := range docs {
+		total += int64(len(d))
+	}
+	reg := obs.NewRegistry()
+	cfg := quietConfig()
+	cfg.Metrics = reg
+	// The third blob fits only after one of the first two is evicted.
+	srv, st := newStoreServer(t, cfg, store.Options{Budget: total - 1, Metrics: reg})
+	put := func(doc []byte) {
+		t.Helper()
+		resp := putExperiment(t, srv, store.DigestOf(doc).String(), doc, "")
+		if readAll(t, resp); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("PUT status = %d", resp.StatusCode)
+		}
+	}
+	hot, cold := store.DigestOf(docs[0]), store.DigestOf(docs[1])
+	put(docs[0])
+	put(docs[1]) // cold is now the most recently used blob
+	resp := postParts(t, srv, "/op/flatten", operandPart{digest: hot.String()})
+	if body := readAll(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("resolve status %d: %s", resp.StatusCode, body)
+	}
+	if got := reg.CounterValue("cube_store_get_hits_total"); got != 0 {
+		t.Fatalf("store reads = %d, want 0: the upload cached hot's master", got)
+	}
+	put(docs[2])
+	if _, ok := st.Stat(hot); !ok {
+		t.Error("the pinned, cache-served blob was evicted")
+	}
+	if _, ok := st.Stat(cold); ok {
+		t.Error("the least recently used blob survived; something else was evicted")
 	}
 }

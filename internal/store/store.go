@@ -457,8 +457,11 @@ func (s *Store) Stat(d Digest) (int64, bool) {
 }
 
 // Pin marks d as in use by an in-flight request: a pinned blob is never
-// evicted, whatever the budget pressure. Reports false if d is absent.
-// Every successful Pin must be paired with an Unpin.
+// evicted, whatever the budget pressure. A pin is a use, so it also makes
+// d the most recently used blob: a blob whose reads a cache above the
+// store answers is still only ever pinned, and must not age out while it
+// is hot. Reports false if d is absent. Every successful Pin must be
+// paired with an Unpin.
 func (s *Store) Pin(d Digest) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -467,6 +470,7 @@ func (s *Store) Pin(d Digest) bool {
 		return false
 	}
 	e.pins++
+	s.lru.MoveToFront(e.el)
 	return true
 }
 
