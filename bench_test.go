@@ -106,7 +106,8 @@ func BenchmarkTraceSizeAblation(b *testing.B) {
 
 // synthetic builds an experiment with the given dimension sizes; shift
 // perturbs severities and call-site naming so that two synthetics are
-// related but not identical.
+// related but not identical. It is returned sealed, as a parsed one
+// would be, so benchmarks do not time the one-time seal.
 func synthetic(metrics, cnodes, threads, shift int) *core.Experiment {
 	e := core.New(fmt.Sprintf("synth-%d-%d-%d-%d", metrics, cnodes, threads, shift))
 	root := e.NewMetric("Time", core.Seconds, "")
@@ -134,6 +135,7 @@ func synthetic(metrics, cnodes, threads, shift int) *core.Experiment {
 			}
 		}
 	}
+	e.CompactSeverities()
 	return e
 }
 
@@ -231,32 +233,6 @@ func BenchmarkPrune_16x64x16(b *testing.B) {
 	}
 }
 
-// --- Engine ablation -------------------------------------------------------------
-
-// Legacy-engine companions of the kernel-path benchmarks above: the same
-// operand shapes driven through the original pointer-map walk
-// (core.EngineLegacy), so a single -bench run reports the kernel layer's
-// speedup directly.
-func BenchmarkDifferenceLegacy_64x512x64(b *testing.B) {
-	benchOp(b, 64, 512, 64, func(a, x *core.Experiment) (*core.Experiment, error) {
-		return core.Difference(a, x, &core.Options{Engine: core.EngineLegacy})
-	})
-}
-
-func BenchmarkMean8Legacy_16x64x16(b *testing.B) {
-	xs := make([]*core.Experiment, 8)
-	for i := range xs {
-		xs[i] = synthetic(16, 64, 16, i)
-	}
-	opts := &core.Options{Engine: core.EngineLegacy}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Mean(opts, xs...); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Ablations -------------------------------------------------------------------
 
 // Call-tree matching ablation (DESIGN.md): the default callee-based
@@ -285,9 +261,9 @@ func BenchmarkMergeCalleeLineMatch(b *testing.B) {
 	}
 }
 
-// Dense-array iteration versus the sparse map store (DESIGN.md: the paper
-// stores severities as a dense 3-D array; this library keeps a sparse
-// canonical store and materialises dense snapshots on demand).
+// Dense-array iteration versus the sparse store (DESIGN.md: the paper
+// stores severities as a dense 3-D array; this library keeps a sorted
+// sparse block and materialises dense snapshots on demand).
 func BenchmarkSeverityDenseSnapshot(b *testing.B) {
 	e := synthetic(32, 256, 32, 0)
 	b.ResetTimer()

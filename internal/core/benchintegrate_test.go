@@ -40,7 +40,7 @@ func benchMetaExperiment(title string) *Experiment {
 	}
 	e.Invalidate()
 
-	ing := e.NewSeverityIngest()
+	ing, _ := e.NewSeverityIngest() // a 64×256×64 domain packs
 	nM, nC, nT := ing.Dims()
 	var keys []uint64
 	var vals []float64

@@ -4,6 +4,7 @@ package core
 // fresh severity store. The copy is independent of the original; mutating
 // one never affects the other.
 func (e *Experiment) Clone() *Experiment {
+	b := e.sealedBlock()
 	out := New(e.Title)
 	out.Derived = e.Derived
 	out.Operation = e.Operation
@@ -14,9 +15,8 @@ func (e *Experiment) Clone() *Experiment {
 	}
 
 	// Metric forest.
-	mMap := map[*Metric]*Metric{}
 	for _, root := range e.metricRoots {
-		out.metricRoots = append(out.metricRoots, cloneMetric(root, nil, mMap))
+		out.metricRoots = append(out.metricRoots, cloneMetric(root, nil))
 	}
 
 	// Regions and call sites.
@@ -54,11 +54,9 @@ func (e *Experiment) Clone() *Experiment {
 	}
 
 	// Call forest.
-	cMap := map[*CallNode]*CallNode{}
 	var cloneCall func(n *CallNode, parent *CallNode) *CallNode
 	cloneCall = func(n *CallNode, parent *CallNode) *CallNode {
 		nn := &CallNode{Site: cloneSite(n.Site), parent: parent}
-		cMap[n] = nn
 		for _, c := range n.children {
 			nn.children = append(nn.children, cloneCall(c, nn))
 		}
@@ -69,7 +67,6 @@ func (e *Experiment) Clone() *Experiment {
 	}
 
 	// System forest.
-	tMap := map[*Thread]*Thread{}
 	for _, mach := range e.machines {
 		nm := out.NewMachine(mach.Name)
 		for _, nd := range mach.Nodes() {
@@ -77,60 +74,31 @@ func (e *Experiment) Clone() *Experiment {
 			for _, p := range nd.Processes() {
 				np := nnd.NewProcess(p.Rank, p.Name)
 				for _, t := range p.Threads() {
-					tMap[t] = np.NewThread(t.ID, t.Name)
+					np.NewThread(t.ID, t.Name)
 				}
 			}
 		}
 	}
 
-	// Severity. When the original holds a valid columnar lowering, the
-	// block transfers verbatim: the clone's metadata was rebuilt in the
-	// same construction order, so its enumerations are index-isomorphic to
-	// the original's and the packed keys mean the same tuples. The copy is
-	// then two flat array copies instead of a pointer-map walk, and the
-	// clone — like a kernel result — stays columnar-only until a map-based
-	// accessor materialises the view (ensureSev). This is what makes
-	// cloning cheap enough for a parse cache to hand out copies per hit.
-	if b := e.lowered; b != nil && e.loweredSevGen == e.sevGen && e.loweredMetaGen == e.metaGen && e.sev == nil {
-		out.dirty = true
-		out.reindex()
-		// The clone's metadata is structurally identical, so a valid
-		// cached metadata digest carries over (stamped with the clone's
-		// own generation). Parse-cache hits hand out clones; carrying the
-		// digest keeps integrate's fast-path check a pointer load instead
-		// of a re-serialisation per request.
-		if c := e.metaDigest.Load(); c != nil && c.gen == e.metaGen {
-			out.metaDigest.Store(&metaDigestCache{gen: out.metaGen, sum: c.sum})
-		}
-		out.sevGen++
-		out.sev = nil
-		out.lowered = &sevBlock{
-			key: append([]uint64(nil), b.key...),
-			val: append([]float64(nil), b.val...),
-			nC:  b.nC,
-			nT:  b.nT,
-		}
-		out.loweredSevGen = out.sevGen
-		out.loweredMetaGen = out.metaGen
-		return out
+	// Severity. The clone's metadata was rebuilt in the same construction
+	// order, so its enumerations are index-isomorphic to the original's
+	// and the packed keys mean the same tuples: the copy is two flat array
+	// copies. The structurally identical metadata also keeps a cached
+	// metadata digest valid, so it carries over (stamped with the clone's
+	// own generation).
+	out.Invalidate()
+	out.reindex()
+	if c := e.metaDigest.Load(); c != nil && c.gen == e.metaGen {
+		out.metaDigest.Store(&metaDigestCache{gen: out.metaGen, sum: c.sum})
 	}
-	for k, v := range e.sevMap() {
-		nm, ok1 := mMap[k.m]
-		nc, ok2 := cMap[k.c]
-		nt, ok3 := tMap[k.t]
-		if ok1 && ok2 && ok3 {
-			out.sev[sevKey{nm, nc, nt}] = v
-		}
-	}
-	out.dirty = true
+	out.installBlock(append([]uint64(nil), b.key...), append([]float64(nil), b.val...))
 	return out
 }
 
-func cloneMetric(m *Metric, parent *Metric, mMap map[*Metric]*Metric) *Metric {
+func cloneMetric(m *Metric, parent *Metric) *Metric {
 	nm := &Metric{Name: m.Name, Unit: m.Unit, Description: m.Description, parent: parent}
-	mMap[m] = nm
 	for _, c := range m.children {
-		nm.children = append(nm.children, cloneMetric(c, nm, mMap))
+		nm.children = append(nm.children, cloneMetric(c, nm))
 	}
 	return nm
 }

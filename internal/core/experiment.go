@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 )
 
@@ -21,6 +23,12 @@ import (
 // allowed, but the caller must then call Invalidate so cached enumerations
 // are rebuilt. Severity values are keyed by node identity, so they survive
 // metadata growth.
+//
+// Concurrency: any number of goroutines may read an experiment at once,
+// including one nobody has read yet — the first reader enumerates the
+// metadata and seals pending severity writes under the experiment's lock.
+// Writes (metadata construction, Invalidate, SetSeverity, AddSeverity,
+// SetDense) must not run alongside reads or other writes.
 type Experiment struct {
 	// Title labels the experiment, e.g. "pescan barriers=on run 3".
 	Title string
@@ -42,10 +50,16 @@ type Experiment struct {
 	machines    []*Machine
 	topology    *Topology
 
-	sev map[sevKey]float64
+	// The severity function: a sorted block of packed keys (kernel.go),
+	// never nil, plus a write buffer of severity writes not yet sealed
+	// into it. lost is the first write sealing could not place; Validate
+	// reports it.
+	block   *sevBlock
+	pending map[sevKey]pendingWrite
+	lost    error
 
-	// Cached flattened enumerations and index maps; rebuilt lazily.
-	dirty       bool
+	// Cached flattened enumerations and index maps, rebuilt by reindex;
+	// metaGen advances on every rebuild.
 	metrics     []*Metric
 	cnodes      []*CallNode
 	procs       []*Process
@@ -53,20 +67,18 @@ type Experiment struct {
 	metricIndex map[*Metric]int
 	cnodeIndex  map[*CallNode]int
 	threadIndex map[*Thread]int
+	metaGen     uint64
 
-	// Generation counters and the cached columnar lowering of the severity
-	// store (see kernel.go). sevGen advances on every severity mutation,
-	// metaGen on every enumeration rebuild; the lowered block is valid only
-	// while both match the generations it was built at.
-	sevGen         uint64
-	metaGen        uint64
-	lowered        *sevBlock
-	loweredSevGen  uint64
-	loweredMetaGen uint64
+	// mu serialises reindexing and sealing. indexed (the enumerations are
+	// current and the block is packed against them) and sealed (indexed,
+	// and the write buffer is empty) are their lock-free fast paths.
+	mu      sync.Mutex
+	indexed atomic.Bool
+	sealed  atomic.Bool
 
 	// Cached whole-forest metadata digest (metadigest.go). Valid only while
 	// its generation matches metaGen; the atomic pointer makes concurrent
-	// MetaDigest calls on an immutable (compacted, shared) experiment safe.
+	// MetaDigest calls on a shared experiment safe.
 	metaDigest atomic.Pointer[metaDigestCache]
 }
 
@@ -76,32 +88,49 @@ type sevKey struct {
 	t *Thread
 }
 
+// pendingWrite is one buffered severity write: set replaces the sealed
+// value, otherwise v is added to it.
+type pendingWrite struct {
+	v   float64
+	set bool
+}
+
 // New returns an empty experiment with the given title.
 func New(title string) *Experiment {
 	return &Experiment{
 		Title: title,
 		Attrs: map[string]string{},
-		sev:   map[sevKey]float64{},
-		dirty: true,
+		block: &sevBlock{nC: 1, nT: 1},
 	}
 }
 
 // Invalidate discards cached enumerations after external metadata mutation.
-func (e *Experiment) Invalidate() { e.dirty = true }
+func (e *Experiment) Invalidate() {
+	e.indexed.Store(false)
+	e.sealed.Store(false)
+}
 
+// reindex makes the enumerations and index maps current.
 func (e *Experiment) reindex() {
-	if !e.dirty {
+	if e.indexed.Load() {
 		return
 	}
-	// A lazily stored severity function (kernel result, sev == nil) lives
-	// only in the columnar block, whose indices reference the enumeration
-	// about to be rebuilt — materialise the pointer-keyed map first, while
-	// the old enumeration is still intact.
-	e.ensureSev()
-	e.metrics = e.metrics[:0]
-	e.cnodes = e.cnodes[:0]
-	e.procs = e.procs[:0]
-	e.threads = e.threads[:0]
+	e.mu.Lock()
+	e.reindexLocked()
+	e.mu.Unlock()
+}
+
+func (e *Experiment) reindexLocked() {
+	if e.indexed.Load() {
+		return
+	}
+	// Fresh slices: callers may still hold the previous enumeration, and
+	// repack needs it to move the block's tuples.
+	oldM, oldC, oldT := e.metrics, e.cnodes, e.threads
+	e.metrics = make([]*Metric, 0, len(oldM))
+	e.cnodes = make([]*CallNode, 0, len(oldC))
+	e.procs = make([]*Process, 0, len(e.procs))
+	e.threads = make([]*Thread, 0, len(oldT))
 	for _, r := range e.metricRoots {
 		r.Walk(func(m *Metric) { e.metrics = append(e.metrics, m) })
 	}
@@ -116,21 +145,58 @@ func (e *Experiment) reindex() {
 			}
 		}
 	}
-	e.metricIndex = make(map[*Metric]int, len(e.metrics))
-	for i, m := range e.metrics {
-		e.metricIndex[m] = i
-	}
-	e.cnodeIndex = make(map[*CallNode]int, len(e.cnodes))
-	for i, n := range e.cnodes {
-		e.cnodeIndex[n] = i
-	}
-	e.threadIndex = make(map[*Thread]int, len(e.threads))
-	for i, t := range e.threads {
-		e.threadIndex[t] = i
-	}
-	e.dirty = false
-	// Enumeration indices changed, so any columnar lowering is stale.
+	e.metricIndex = indexOf(e.metrics)
+	e.cnodeIndex = indexOf(e.cnodes)
+	e.threadIndex = indexOf(e.threads)
 	e.metaGen++
+	if e.block.len() > 0 {
+		e.repack(oldM, oldC, oldT)
+	}
+	e.indexed.Store(true)
+}
+
+func indexOf[T comparable](nodes []T) map[T]int {
+	idx := make(map[T]int, len(nodes))
+	for i, n := range nodes {
+		idx[n] = i
+	}
+	return idx
+}
+
+// repack re-keys the block from the enumeration it was packed against to
+// the current one. A tuple whose node left the forests is dropped and
+// reported by Validate.
+func (e *Experiment) repack(oldM []*Metric, oldC []*CallNode, oldT []*Thread) {
+	nC, nT := e.packDims()
+	if err := e.domainError(); err != nil {
+		e.lose(err)
+		e.block = &sevBlock{nC: nC, nT: nT}
+		return
+	}
+	rt := remapTable{m: remapFrom(oldM, e.metricIndex), c: remapFrom(oldC, e.cnodeIndex), t: remapFrom(oldT, e.threadIndex)}
+	var dropped int
+	if e.block, dropped = e.block.remap(rt, nC, nT); dropped > 0 {
+		e.lose(invalid("severity", "%d severity tuples refer to metadata that is no longer registered", dropped))
+	}
+}
+
+// packDims returns the call-node and thread counts keys are packed with,
+// clamped to at least 1 so the packing stays invertible on empty
+// dimensions. The enumerations must be current.
+func (e *Experiment) packDims() (nC, nT uint64) {
+	return uint64(max(len(e.cnodes), 1)), uint64(max(len(e.threads), 1))
+}
+
+// domainError returns a *DomainError when the current enumerations cannot
+// be packed into 64-bit keys.
+func (e *Experiment) domainError() error {
+	return checkDomain(len(e.metrics), len(e.cnodes), len(e.threads))
+}
+
+func (e *Experiment) lose(err error) {
+	if e.lost == nil {
+		e.lost = err
+	}
 }
 
 // --- Metadata construction -------------------------------------------------
@@ -140,7 +206,7 @@ func (e *Experiment) reindex() {
 func (e *Experiment) NewMetric(name string, unit Unit, description string) *Metric {
 	m := NewMetric(name, unit, description)
 	e.metricRoots = append(e.metricRoots, m)
-	e.dirty = true
+	e.Invalidate()
 	return m
 }
 
@@ -152,7 +218,7 @@ func (e *Experiment) AddMetricRoot(roots ...*Metric) error {
 		}
 		e.metricRoots = append(e.metricRoots, m)
 	}
-	e.dirty = true
+	e.Invalidate()
 	return nil
 }
 
@@ -186,7 +252,7 @@ func (e *Experiment) AddCallSite(ss ...*CallSite) {
 func (e *Experiment) NewCallRoot(site *CallSite) *CallNode {
 	n := NewCallNode(site)
 	e.callRoots = append(e.callRoots, n)
-	e.dirty = true
+	e.Invalidate()
 	return n
 }
 
@@ -198,7 +264,7 @@ func (e *Experiment) AddCallRoot(roots ...*CallNode) error {
 		}
 		e.callRoots = append(e.callRoots, n)
 	}
-	e.dirty = true
+	e.Invalidate()
 	return nil
 }
 
@@ -206,14 +272,14 @@ func (e *Experiment) AddCallRoot(roots ...*CallNode) error {
 func (e *Experiment) NewMachine(name string) *Machine {
 	m := NewMachine(name)
 	e.machines = append(e.machines, m)
-	e.dirty = true
+	e.Invalidate()
 	return m
 }
 
 // AddMachine attaches existing machines to the experiment.
 func (e *Experiment) AddMachine(ms ...*Machine) {
 	e.machines = append(e.machines, ms...)
-	e.dirty = true
+	e.Invalidate()
 }
 
 // --- Metadata access -------------------------------------------------------
@@ -348,57 +414,120 @@ func (e *Experiment) FindThread(rank, id int) *Thread {
 
 // --- Severity function -----------------------------------------------------
 
-// ensureSev materialises the pointer-keyed severity map from the cached
-// columnar block. Kernel operators (kernel.go) leave their result in
-// columnar form only — the map is a view, built lazily on the first
-// map-based access. Callers that only stream severities (EachSeverity,
-// Fingerprint, further kernel operators) never pay for it.
-func (e *Experiment) ensureSev() {
-	if e.sev != nil {
+// seal makes the enumerations current and folds the write buffer into the
+// block, once, under the experiment's lock; afterwards every read is a
+// pure load.
+func (e *Experiment) seal() {
+	if e.sealed.Load() {
 		return
 	}
-	b := e.lowered
-	if b == nil || e.loweredSevGen != e.sevGen || e.loweredMetaGen != e.metaGen {
-		// No columnar source (install always leaves a valid block, so this
-		// only happens on experiments that never held severities).
-		e.sev = map[sevKey]float64{}
-		return
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.reindexLocked()
+	if len(e.pending) > 0 {
+		e.fold()
 	}
-	e.sev = make(map[sevKey]float64, b.len())
-	for i, v := range b.val {
-		mi, ci, ti := b.at(i)
-		e.sev[sevKey{e.metrics[mi], e.cnodes[ci], e.threads[ti]}] = v
-	}
+	e.sealed.Store(true)
 }
 
-// sevMap returns the pointer-keyed severity map, materialising it first if a
-// kernel operator left the experiment in columnar-only form.
-func (e *Experiment) sevMap() map[sevKey]float64 {
-	e.ensureSev()
-	return e.sev
+// fold merges the write buffer into the block: node pointers resolve to
+// enumeration indices, a set drops the sealed value it replaces, and
+// sumSorted adds up what remains per key — at most one sealed value and
+// one pending add, whose sum does not depend on their order. A write that
+// names unregistered metadata is dropped and reported by Validate.
+func (e *Experiment) fold() {
+	pending := e.pending
+	e.pending = nil
+	if err := e.domainError(); err != nil {
+		e.lose(err)
+		return
+	}
+	nC, nT := e.packDims()
+	b := e.block
+	keys := make([]uint64, 0, b.len()+len(pending))
+	vals := make([]float64, 0, cap(keys))
+	var sets []uint64
+	for k, p := range pending {
+		mi, ok1 := e.metricIndex[k.m]
+		ci, ok2 := e.cnodeIndex[k.c]
+		ti, ok3 := e.threadIndex[k.t]
+		switch {
+		case !ok1:
+			e.lose(invalid("severity", "severity refers to unregistered metric %q", k.m.Name))
+		case !ok2:
+			e.lose(invalid("severity", "severity refers to unregistered call node %q", k.c.Path()))
+		case !ok3:
+			e.lose(invalid("severity", "severity refers to unregistered thread %q", k.t.String()))
+		default:
+			key := (uint64(mi)*nC+uint64(ci))*nT + uint64(ti)
+			keys, vals = append(keys, key), append(vals, p.v)
+			if p.set && b.len() > 0 {
+				sets = append(sets, key)
+			}
+		}
+	}
+	slices.Sort(sets)
+	for i, k := range b.key {
+		if _, found := slices.BinarySearch(sets, k); !found {
+			keys, vals = append(keys, k), append(vals, b.val[i])
+		}
+	}
+	keys, vals = sumSorted(keys, vals)
+	e.block = &sevBlock{key: keys, val: vals, nC: nC, nT: nT}
+}
+
+// installBlock replaces the severity function with sorted, zero-free
+// (key, value) pairs packed against the current enumerations.
+func (e *Experiment) installBlock(keys []uint64, vals []float64) {
+	e.reindex()
+	nC, nT := e.packDims()
+	e.block = &sevBlock{key: keys, val: vals, nC: nC, nT: nT}
+	e.pending = nil
+	e.sealed.Store(true)
+}
+
+// sealedBlock returns the severity function as its sorted block.
+func (e *Experiment) sealedBlock() *sevBlock {
+	e.seal()
+	return e.block
 }
 
 // Severity returns the accumulated value of metric m measured while thread t
 // was executing in call path c. Undefined tuples are zero. The stored value
 // is exclusive along both the metric tree and the call tree: it belongs to
 // exactly m (not m's descendants) at exactly c (not c's descendants).
+//
+// Severity reads pending writes without sealing them, so generators may
+// interleave reads and writes at no extra cost; on a sealed experiment it
+// is a binary search of the block.
 func (e *Experiment) Severity(m *Metric, c *CallNode, t *Thread) float64 {
-	e.ensureSev()
-	return e.sev[sevKey{m, c, t}]
+	var p pendingWrite
+	if !e.sealed.Load() {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		e.reindexLocked()
+		if p = e.pending[sevKey{m, c, t}]; p.set {
+			return p.v
+		}
+	}
+	b := e.block
+	mi, ok1 := e.metricIndex[m]
+	ci, ok2 := e.cnodeIndex[c]
+	ti, ok3 := e.threadIndex[t]
+	if ok1 && ok2 && ok3 {
+		key := (uint64(mi)*b.nC+uint64(ci))*b.nT + uint64(ti)
+		if i, found := slices.BinarySearch(b.key, key); found {
+			return b.val[i] + p.v
+		}
+	}
+	return p.v
 }
 
 // SetSeverity sets the severity of the (m, c, t) tuple. Severities may be
 // negative (e.g. in difference experiments). Setting zero removes the tuple
 // from the underlying sparse store.
 func (e *Experiment) SetSeverity(m *Metric, c *CallNode, t *Thread, v float64) {
-	e.ensureSev()
-	e.sevGen++
-	k := sevKey{m, c, t}
-	if v == 0 {
-		delete(e.sev, k)
-		return
-	}
-	e.sev[k] = v
+	e.write(sevKey{m, c, t}, pendingWrite{v: v, set: true})
 }
 
 // AddSeverity accumulates v onto the severity of the (m, c, t) tuple.
@@ -406,32 +535,29 @@ func (e *Experiment) AddSeverity(m *Metric, c *CallNode, t *Thread, v float64) {
 	if v == 0 {
 		return
 	}
-	e.ensureSev()
-	e.sevGen++
 	k := sevKey{m, c, t}
-	nv := e.sev[k] + v
-	if nv == 0 {
-		delete(e.sev, k)
-		return
+	p := e.pending[k]
+	p.v += v
+	e.write(k, p)
+}
+
+func (e *Experiment) write(k sevKey, p pendingWrite) {
+	if e.pending == nil {
+		e.pending = map[sevKey]pendingWrite{}
 	}
-	e.sev[k] = nv
+	e.pending[k] = p
+	e.sealed.Store(false)
 }
 
 // NonZeroCount returns the number of stored non-zero severity tuples.
 func (e *Experiment) NonZeroCount() int {
-	if e.sev == nil && e.lowered != nil && e.loweredSevGen == e.sevGen && e.loweredMetaGen == e.metaGen {
-		return e.lowered.len()
-	}
-	return len(e.sev)
+	return e.sealedBlock().len()
 }
 
 // EachSeverity calls fn for every stored non-zero severity tuple in a
-// deterministic order (metric, call node, thread enumeration order). The
-// iteration runs off the cached columnar lowering, so repeated traversals
-// cost no per-call sort. Tuples referencing unregistered metadata (possible
-// only on invalid experiments) are skipped.
+// deterministic order (metric, call node, thread enumeration order).
 func (e *Experiment) EachSeverity(fn func(m *Metric, c *CallNode, t *Thread, v float64)) {
-	b := e.loweredBlock()
+	b := e.sealedBlock()
 	for i, v := range b.val {
 		mi, ci, ti := b.at(i)
 		fn(e.metrics[mi], e.cnodes[ci], e.threads[ti], v)
@@ -442,11 +568,10 @@ func (e *Experiment) EachSeverity(fn func(m *Metric, c *CallNode, t *Thread, v f
 // at least one severity tuple, in enumeration order, with vals holding the
 // row's per-thread values densely (absent tuples as zero). vals is reused
 // between calls and is only valid for the duration of one call. Returning
-// false stops the iteration. Like EachSeverity, the walk runs off the
-// cached columnar lowering; this is the egress seam the fast XML writer
-// streams severity matrices from without materialising the map view.
+// false stops the iteration. This is the egress seam the fast XML writer
+// streams severity matrices from.
 func (e *Experiment) EachSeverityRow(fn func(mi, ci int, vals []float64) bool) {
-	b := e.loweredBlock()
+	b := e.sealedBlock()
 	nT := len(e.threads)
 	if nT == 0 || b.len() == 0 {
 		return
@@ -468,15 +593,13 @@ func (e *Experiment) EachSeverityRow(fn func(mi, ci int, vals []float64) bool) {
 	}
 }
 
-// CompactSeverities lowers the severity store to its columnar block and
-// reports whether the block is now the primary store (the pointer-keyed
-// map view was dropped). This fails only for invalid experiments whose
-// map references unregistered metadata. Callers that hold many parsed
-// experiments (the server's parse cache) compact them so clones take the
-// cheap columnar path.
+// CompactSeverities seals pending severity writes into the sorted block
+// and reports true. Callers that share an experiment between goroutines
+// (the server's parse cache) seal it before publishing it; reads seal on
+// demand as well, so this only moves the work.
 func (e *Experiment) CompactSeverities() bool {
-	e.loweredBlock()
-	return e.sev == nil
+	e.seal()
+	return true
 }
 
 // --- Aggregation helpers ---------------------------------------------------
@@ -484,21 +607,30 @@ func (e *Experiment) CompactSeverities() bool {
 // MetricValue returns the severity of metric m at call node c summed over
 // all threads (exclusive along both trees).
 func (e *Experiment) MetricValue(m *Metric, c *CallNode) float64 {
-	var s float64
-	for _, t := range e.Threads() {
-		s += e.Severity(m, c, t)
-	}
-	return s
+	return e.rowSum(m, c, 1)
 }
 
 // MetricTotal returns the severity of exactly metric m summed across the
 // whole program and system (all call paths, all threads).
 func (e *Experiment) MetricTotal(m *Metric) float64 {
-	var s float64
-	for _, c := range e.CallNodes() {
-		s += e.MetricValue(m, c)
+	return e.rowSum(m, nil, len(e.CallNodes()))
+}
+
+// rowSum sums the n (metric, call node) rows that start at row (m, c), or
+// at m's first row for a nil c. Keys sort by (metric, call node, thread),
+// so the rows occupy one key range of the block.
+func (e *Experiment) rowSum(m *Metric, c *CallNode, n int) float64 {
+	b := e.sealedBlock()
+	mi, okm := e.metricIndex[m]
+	ci, okc := 0, true
+	if c != nil {
+		ci, okc = e.cnodeIndex[c]
 	}
-	return s
+	if !okm || !okc {
+		return 0
+	}
+	lo := (uint64(mi)*b.nC + uint64(ci)) * b.nT
+	return b.sumRange(lo, lo+uint64(n)*b.nT)
 }
 
 // MetricInclusive returns MetricTotal summed over m and all of m's
@@ -551,7 +683,7 @@ type Dense struct {
 
 // Dense materialises the experiment's severity function as a dense array.
 func (e *Experiment) Dense() *Dense {
-	e.reindex()
+	b := e.sealedBlock()
 	d := &Dense{Metrics: e.metrics, CallNodes: e.cnodes, Threads: e.threads}
 	d.Values = make([][][]float64, len(e.metrics))
 	flat := make([]float64, len(e.metrics)*len(e.cnodes)*len(e.threads))
@@ -562,13 +694,9 @@ func (e *Experiment) Dense() *Dense {
 			d.Values[i][j] = flat[off : off+len(e.threads)]
 		}
 	}
-	for k, v := range e.sevMap() {
-		i, ok1 := e.metricIndex[k.m]
-		j, ok2 := e.cnodeIndex[k.c]
-		l, ok3 := e.threadIndex[k.t]
-		if ok1 && ok2 && ok3 {
-			d.Values[i][j][l] = v
-		}
+	for i, v := range b.val {
+		mi, ci, ti := b.at(i)
+		d.Values[mi][ci][ti] = v
 	}
 	return d
 }
@@ -583,13 +711,14 @@ func (e *Experiment) SetDense(d *Dense) error {
 			len(d.Metrics), len(d.CallNodes), len(d.Threads),
 			len(e.metrics), len(e.cnodes), len(e.threads))
 	}
-	e.sevGen++
-	e.sev = make(map[sevKey]float64)
+	e.block = &sevBlock{nC: 1, nT: 1}
+	e.pending = nil
+	e.sealed.Store(false)
 	for i, m := range d.Metrics {
 		for j, c := range d.CallNodes {
 			for l, t := range d.Threads {
 				if v := d.Values[i][j][l]; v != 0 {
-					e.sev[sevKey{m, c, t}] = v
+					e.SetSeverity(m, c, t, v)
 				}
 			}
 		}
@@ -644,6 +773,6 @@ func (e *Experiment) ThreadedSystem(machine string, nodes int, threadsPerRank []
 			rank++
 		}
 	}
-	e.dirty = true
+	e.Invalidate()
 	return threads
 }

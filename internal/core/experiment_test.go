@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -278,4 +279,71 @@ func TestFingerprintDistinguishes(t *testing.T) {
 	if !strings.Contains(a.Fingerprint(), "Time/Comm/Wait") {
 		t.Errorf("fingerprint lacks metric paths")
 	}
+}
+
+// TestConcurrentFirstReads: eight goroutines read one experiment that
+// nobody has read yet, so they race to enumerate its metadata and seal
+// its severity writes. The experiment's lock makes that safe; run it
+// under -race.
+func TestConcurrentFirstReads(t *testing.T) {
+	// buildSmall plus 2000 call nodes with severities, built through the
+	// forests only, so no enumeration is read before the race.
+	build := func(title string) *Experiment {
+		e := buildSmall(title)
+		padCallTree(e, 2000)
+		m := e.MetricRoots()[0]
+		for i, c := range e.CallRoots()[0].Children() {
+			for _, nd := range e.Machines()[0].Nodes() {
+				for j, p := range nd.Processes() {
+					e.AddSeverity(m, c, p.Threads()[0], float64(i+j)+0.5)
+				}
+			}
+		}
+		return e
+	}
+	ref := build("ref")
+	m, c, th := ref.MetricRoots()[0], ref.CallRoots()[0].Children()[0], ref.Threads()[2]
+	wantN, wantTotal, wantSev := ref.NonZeroCount(), ref.MetricTotal(m), ref.Severity(m, c, th)
+
+	e := build("fresh")
+	m = e.MetricRoots()[0]
+	c = e.CallRoots()[0].Children()[0]
+	th = e.Machines()[0].Nodes()[1].Processes()[0].Threads()[0]
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for step := 0; step < 5; step++ {
+				switch (g + step) % 5 {
+				case 0:
+					if !AlmostEqual(e, ref, 0) {
+						t.Errorf("goroutine %d: experiment differs from its twin", g)
+					}
+				case 1:
+					n := 0
+					e.EachSeverity(func(*Metric, *CallNode, *Thread, float64) { n++ })
+					if n != wantN {
+						t.Errorf("goroutine %d: EachSeverity visited %d tuples, want %d", g, n, wantN)
+					}
+				case 2:
+					if got := e.MetricTotal(m); got != wantTotal {
+						t.Errorf("goroutine %d: MetricTotal = %v, want %v", g, got, wantTotal)
+					}
+				case 3:
+					if got := e.Severity(m, c, th); got != wantSev {
+						t.Errorf("goroutine %d: Severity = %v, want %v", g, got, wantSev)
+					}
+				case 4:
+					if got := len(e.Metrics()); got != 4 {
+						t.Errorf("goroutine %d: %d metrics, want 4", g, got)
+					}
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
 }

@@ -83,9 +83,8 @@ func AlmostEqual(a, b *Experiment, eps float64) bool {
 	if !a.topology.Equal(b.topology) {
 		return false
 	}
-	// Merge-join the two columnar severity stores instead of probing
-	// O(M·C·T) tuples through pointer-keyed map lookups: the dimension
-	// counts agree (checked above), so both blocks pack keys identically
+	// Merge-join the two sorted severity blocks: the dimension counts
+	// agree (checked above), so both blocks pack keys identically
 	// and equal keys mean corresponding tuples. Keys present on one side
 	// only compare against the zero extension.
 	within := func(va, vb float64) bool {
@@ -95,7 +94,7 @@ func AlmostEqual(a, b *Experiment, eps float64) bool {
 		}
 		return math.Abs(va-vb) <= eps*(1+scale)
 	}
-	ba, bb := a.loweredBlock(), b.loweredBlock()
+	ba, bb := a.sealedBlock(), b.sealedBlock()
 	i, j := 0, 0
 	for i < ba.len() && j < bb.len() {
 		switch ka, kb := ba.key[i], bb.key[j]; {

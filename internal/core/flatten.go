@@ -25,40 +25,33 @@ func Flatten(x *Experiment) (*Experiment, error) {
 		return nil, err
 	}
 	out := in.out
+	in.tables() // index the integrated domain before restructuring it
 
 	// Replace the call forest with one trivial tree per callee region of
 	// the integrated tree, mapping every original call node onto its
-	// region's node.
-	regionNode := map[*Region]*CallNode{}
-	flatFor := map[*CallNode]*CallNode{}
+	// region, in first-appearance order, so the flat call-node index of
+	// every integrated call node is its region's position.
+	regionNode := map[*Region]int32{}
 	var flatRoots []*CallNode
 	var sites []*CallSite
-	for _, cn := range out.CallNodes() {
+	nodes := out.CallNodes()
+	callTo := make([]int32, len(nodes))
+	for i, cn := range nodes {
 		reg := cn.Callee()
-		fn, ok := regionNode[reg]
+		fi, ok := regionNode[reg]
 		if !ok {
 			site := &CallSite{File: reg.Module, Line: reg.BeginLine, Callee: reg}
 			sites = append(sites, site)
-			fn = NewCallNode(site)
-			regionNode[reg] = fn
-			flatRoots = append(flatRoots, fn)
+			fi = int32(len(flatRoots))
+			regionNode[reg] = fi
+			flatRoots = append(flatRoots, NewCallNode(site))
 		}
-		flatFor[cn] = fn
+		callTo[i] = fi
 	}
-
-	// Re-route severities through the flattening before swapping forests.
-	// EachSeverity streams the operand read-only (no map materialisation
-	// on columnar or shared experiments).
-	newSev := make(map[sevKey]float64, x.NonZeroCount())
-	mf, cf, tf := in.metricFrom[0], in.cnodeFrom[0], in.threadFrom[0]
-	x.EachSeverity(func(m *Metric, c *CallNode, t *Thread, v float64) {
-		nk := sevKey{mf[m], flatFor[cf[c]], tf[t]}
-		newSev[nk] += v
-	})
 	out.callRoots = flatRoots
 	out.callSites = sites
-	out.sev = newSev
-	out.dirty = true
+	out.Invalidate()
+	in.installRestructured(nil, callTo)
 
 	out.Derived = true
 	out.Operation = "flatten"
@@ -83,6 +76,7 @@ func ExtractMetrics(x *Experiment, paths ...string) (*Experiment, error) {
 		return nil, err
 	}
 	out := in.out
+	in.tables() // index the integrated domain before restructuring it
 
 	keep := map[*Metric]bool{}
 	var newRoots []*Metric
@@ -98,18 +92,11 @@ func ExtractMetrics(x *Experiment, paths ...string) (*Experiment, error) {
 		m.parent = nil
 		newRoots = append(newRoots, m)
 	}
+	metrics := out.Metrics()
 	out.metricRoots = newRoots
-	out.dirty = true
-
-	mf, cf, tf := in.metricFrom[0], in.cnodeFrom[0], in.threadFrom[0]
-	newSev := make(map[sevKey]float64)
-	x.EachSeverity(func(m *Metric, c *CallNode, t *Thread, v float64) {
-		rm := mf[m]
-		if keep[rm] {
-			newSev[sevKey{rm, cf[c], tf[t]}] = v
-		}
-	})
-	out.sev = newSev
+	out.Invalidate()
+	out.reindex()
+	in.installRestructured(remapFrom(metrics, out.metricIndex), nil)
 
 	out.Derived = true
 	out.Operation = "extract"
@@ -129,26 +116,18 @@ func ExtractCallSubtree(x *Experiment, path string) (*Experiment, error) {
 		return nil, err
 	}
 	out := in.out
+	in.tables() // index the integrated domain before restructuring it
 
 	root := out.FindCallNode(path)
 	if root == nil {
 		return nil, fmt.Errorf("core: call path %q not found", path)
 	}
-	keep := map[*CallNode]bool{}
-	root.Walk(func(d *CallNode) { keep[d] = true })
+	nodes := out.CallNodes()
 	root.parent = nil
 	out.callRoots = []*CallNode{root}
-	out.dirty = true
-
-	mf, cf, tf := in.metricFrom[0], in.cnodeFrom[0], in.threadFrom[0]
-	newSev := make(map[sevKey]float64)
-	x.EachSeverity(func(m *Metric, c *CallNode, t *Thread, v float64) {
-		rc := cf[c]
-		if keep[rc] {
-			newSev[sevKey{mf[m], rc, tf[t]}] = v
-		}
-	})
-	out.sev = newSev
+	out.Invalidate()
+	out.reindex()
+	in.installRestructured(nil, remapFrom(nodes, out.cnodeIndex))
 
 	out.Derived = true
 	out.Operation = "extract-call"
@@ -156,4 +135,45 @@ func ExtractCallSubtree(x *Experiment, path string) (*Experiment, error) {
 	out.Title = fmt.Sprintf("extract-call(%s, %s)", x.Title, path)
 	out.Attrs["cube.operation"] = "extract-call"
 	return out, nil
+}
+
+// installRestructured stores the single operand's severities in out after
+// the caller restructured out's forests and invalidated its enumerations.
+// metricTo and callTo map out's integrated enumeration indices to its
+// current ones (-1 drops the tuple; nil keeps the index); in.tables()
+// must have been built before the restructuring. Tuples that land on one
+// key sum in the operand's order.
+func (in *integration) installRestructured(metricTo, callTo []int32) {
+	rt := in.tables()[0]
+	rt.m, rt.c = compose(rt.m, metricTo), compose(rt.c, callTo)
+	out := in.out
+	out.reindex()
+	nC, nT := out.packDims()
+	b, _ := in.operands[0].sealedBlock().remap(rt, nC, nT)
+	out.installBlock(b.key, b.val)
+}
+
+// compose returns the index table a followed by b; nil b keeps a.
+func compose(a, b []int32) []int32 {
+	if b == nil {
+		return a
+	}
+	c := make([]int32, len(a))
+	for i, j := range a {
+		c[i] = b[j]
+	}
+	return c
+}
+
+// remapFrom maps each node of an earlier enumeration to its index in the
+// current one, or -1 when it is no longer registered.
+func remapFrom[T comparable](old []T, idx map[T]int) []int32 {
+	tab := make([]int32, len(old))
+	for i, n := range old {
+		tab[i] = -1
+		if j, ok := idx[n]; ok {
+			tab[i] = int32(j)
+		}
+	}
+	return tab
 }

@@ -1,17 +1,15 @@
 package core
 
-// This file is the ingest seam of the columnar severity layer: a way for
-// producers that already know enumeration indices (the cubexml fast-path
-// reader, bulk generators) to land severity tuples directly in the packed
-// sevBlock representation of kernel.go, skipping the pointer-keyed sparse
-// map entirely. The map stays a lazy view (Experiment.ensureSev), exactly
-// as it is for kernel operator results.
+// This file is the ingest seam of the severity store: a way for producers
+// that already know enumeration indices (the cubexml fast-path reader,
+// bulk generators) to land severity tuples directly in the packed sevBlock
+// representation of kernel.go, skipping the write buffer entirely.
 
 // SeverityIngest accumulates index-addressed severity tuples for one
-// experiment and installs them as the experiment's columnar store. The
+// experiment and installs them as the experiment's severity block. The
 // intended flow is:
 //
-//	ing := e.NewSeverityIngest()
+//	ing, err := e.NewSeverityIngest()
 //	nM, nC, nT := ing.Dims()
 //	... producers append ing.RowKey(mi, ci)+ti / value pairs, possibly
 //	    from several goroutines into disjoint slices ...
@@ -32,18 +30,13 @@ type SeverityIngest struct {
 // NewSeverityIngest prepares ingesting severities into e, capturing the
 // current enumeration sizes. The experiment's metadata must be complete;
 // mutating metadata between NewSeverityIngest and Commit invalidates the
-// packing.
-func (e *Experiment) NewSeverityIngest() *SeverityIngest {
+// packing. It returns a *DomainError when the domain is too large to pack.
+func (e *Experiment) NewSeverityIngest() (*SeverityIngest, error) {
 	e.reindex()
-	packC, packT := uint64(len(e.cnodes)), uint64(len(e.threads))
-	// Clamp like sevBlock so the packing stays invertible on empty
-	// dimensions.
-	if packC == 0 {
-		packC = 1
+	if err := e.domainError(); err != nil {
+		return nil, err
 	}
-	if packT == 0 {
-		packT = 1
-	}
+	packC, packT := e.packDims()
 	return &SeverityIngest{
 		e:     e,
 		nM:    len(e.metrics),
@@ -51,7 +44,7 @@ func (e *Experiment) NewSeverityIngest() *SeverityIngest {
 		nT:    len(e.threads),
 		packC: packC,
 		packT: packT,
-	}
+	}, nil
 }
 
 // Dims returns the enumeration sizes (metrics, call nodes, threads) the
@@ -71,18 +64,11 @@ func (in *SeverityIngest) RowKey(mi, ci int) uint64 {
 // severity function, replacing whatever it held. The slices are owned by
 // the experiment afterwards. sorted asserts the keys already ascend
 // strictly; otherwise they are radix-sorted here (values follow their
-// keys). The pointer-keyed severity map is left unmaterialised — it is a
-// lazy view rebuilt on demand — so ingesting n tuples costs O(n) flat
-// array writes plus at most one sort, with no per-tuple map or
-// allocation work.
+// keys). Ingesting n tuples costs O(n) flat array writes plus at most one
+// sort, with no per-tuple map or allocation work.
 func (in *SeverityIngest) Commit(keys []uint64, vals []float64, sorted bool) {
 	if !sorted {
 		radixSortKV(keys, vals)
 	}
-	e := in.e
-	e.sevGen++
-	e.sev = nil
-	e.lowered = &sevBlock{key: keys, val: vals, nC: in.packC, nT: in.packT}
-	e.loweredSevGen = e.sevGen
-	e.loweredMetaGen = e.metaGen
+	in.e.installBlock(keys, vals)
 }

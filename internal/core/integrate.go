@@ -22,11 +22,6 @@ type Options struct {
 	// CollapsedMachine names the machine created when hierarchies are
 	// collapsed; defaults to "merged machine".
 	CollapsedMachine string
-	// Engine selects the severity-arithmetic implementation. The default
-	// (EngineAuto) runs the indexed kernel layer; EngineLegacy keeps the
-	// original pointer-map walk as a reference implementation (property
-	// tests assert both produce identical results).
-	Engine Engine
 	// Workers bounds the number of kernel shards worked concurrently;
 	// 0 means GOMAXPROCS. Results are identical for every worker count.
 	Workers int
@@ -42,28 +37,6 @@ type Options struct {
 	// wide event here. A nil Event costs nothing: every hook is a
 	// nil-receiver no-op.
 	Event *obs.Event
-}
-
-// Engine names a severity-arithmetic implementation.
-type Engine int
-
-const (
-	// EngineAuto selects the kernel implementation, falling back to the
-	// legacy walk only when the integrated domain cannot be index-packed.
-	EngineAuto Engine = iota
-	// EngineKernel is the indexed, sharded kernel layer (kernel.go).
-	EngineKernel
-	// EngineLegacy is the original per-tuple pointer-map walk.
-	EngineLegacy
-)
-
-// useKernel reports whether operators should run on the kernel layer for
-// the integrated result out.
-func (o *Options) useKernel(out *Experiment) bool {
-	if o != nil && o.Engine == EngineLegacy {
-		return false
-	}
-	return kernelFeasible(out)
 }
 
 func (o *Options) orDefault() *Options {
@@ -98,12 +71,10 @@ const (
 // operand's severity function onto the integrated domain (undefined tuples
 // are implicitly zero).
 //
-// The mappings exist in two interchangeable forms. The full treemerge walk
-// produces pointer maps (metricFrom et al.); the digest fast paths produce
-// flat index tables (tabs, metricSrc) directly. Either form derives the
-// other on demand — tables() builds tabs from the maps, ensureMaps() builds
-// the maps from tabs — so the kernel layer (which wants tables) and the
-// legacy walk (which wants maps) both run unchanged on every path.
+// The mappings exist in two forms. The full treemerge walk produces
+// pointer maps (metricFrom et al.); the digest fast paths produce flat
+// index tables (tabs, metricSrc) directly, and tables() derives them from
+// the maps on the full walk, so every consumer reads tables on every path.
 type integration struct {
 	out      *Experiment
 	operands []*Experiment
@@ -116,28 +87,22 @@ type integration struct {
 	cnodeFrom []map[*CallNode]*CallNode
 	// threadFrom[i] maps operand i's threads to result threads.
 	threadFrom []map[*Thread]*Thread
-	// metricSource maps each result metric to the smallest operand index
-	// that provides it (used by Merge's "take it from the first" rule).
-	metricSource map[*Metric]int
-	// cnodeSource likewise for call nodes.
-	cnodeSource map[*CallNode]int
 	// tabs[i] is the flat index form of the mappings for operand i; nil
 	// until built by tables(). Fast paths share one backing table across
 	// operands and across concurrent invocations — never mutate entries.
 	tabs []remapTable
-	// metricSrc is the flat index form of metricSource (result metric
-	// enumeration index -> operand index); nil until built.
+	// metricSrc maps each result metric's enumeration index to the
+	// smallest operand index that provides it (Merge's "take it from the
+	// first" rule); nil until built by metricSrcs().
 	metricSrc []int32
 }
 
 func newIntegration(operands []*Experiment) *integration {
 	return &integration{
-		operands:     operands,
-		metricFrom:   make([]map[*Metric]*Metric, len(operands)),
-		cnodeFrom:    make([]map[*CallNode]*CallNode, len(operands)),
-		threadFrom:   make([]map[*Thread]*Thread, len(operands)),
-		metricSource: map[*Metric]int{},
-		cnodeSource:  map[*CallNode]int{},
+		operands:   operands,
+		metricFrom: make([]map[*Metric]*Metric, len(operands)),
+		cnodeFrom:  make([]map[*CallNode]*CallNode, len(operands)),
+		threadFrom: make([]map[*Thread]*Thread, len(operands)),
 	}
 }
 
@@ -181,46 +146,7 @@ func (in *integration) tables() []remapTable {
 	return tabs
 }
 
-// ensureMaps materialises the pointer maps for any operand that only has
-// the flat table form (digest fast paths), so the legacy engine and the
-// structural operators can run unchanged. Enumeration order is the bridge:
-// table entry (si -> ri) means operand node si maps to result node ri.
-func (in *integration) ensureMaps() {
-	out := in.out
-	out.reindex()
-	var tabs []remapTable
-	for i, x := range in.operands {
-		if in.metricFrom[i] != nil {
-			continue
-		}
-		if tabs == nil {
-			tabs = in.tables()
-		}
-		x.reindex()
-		mf := make(map[*Metric]*Metric, len(x.metrics))
-		for si, sm := range x.metrics {
-			mf[sm] = out.metrics[tabs[i].m[si]]
-		}
-		in.metricFrom[i] = mf
-		cf := make(map[*CallNode]*CallNode, len(x.cnodes))
-		for si, sc := range x.cnodes {
-			cf[sc] = out.cnodes[tabs[i].c[si]]
-		}
-		in.cnodeFrom[i] = cf
-		tf := make(map[*Thread]*Thread, len(x.threads))
-		for si, st := range x.threads {
-			tf[st] = out.threads[tabs[i].t[si]]
-		}
-		in.threadFrom[i] = tf
-	}
-	if len(in.metricSource) == 0 && in.metricSrc != nil {
-		for ri, m := range out.metrics {
-			in.metricSource[m] = int(in.metricSrc[ri])
-		}
-	}
-}
-
-// metricSrcs returns metricSource in flat index form, deriving it on first
+// metricSrcs returns metricSrc, deriving it from the pointer maps on first
 // use.
 func (in *integration) metricSrcs() []int32 {
 	if in.metricSrc != nil {
@@ -229,9 +155,9 @@ func (in *integration) metricSrcs() []int32 {
 	out := in.out
 	out.reindex()
 	src := make([]int32, len(out.metrics))
-	for m, i := range in.metricSource {
-		if ri, ok := out.metricIndex[m]; ok {
-			src[ri] = int32(i)
+	for i := len(in.operands) - 1; i >= 0; i-- { // the lowest operand wins
+		for _, rm := range in.metricFrom[i] {
+			src[out.metricIndex[rm]] = int32(i)
 		}
 	}
 	in.metricSrc = src
@@ -255,8 +181,20 @@ func (in *integration) metricSrcs() []int32 {
 // pairings. Both paths are observable (integrate.fastpath span attribute,
 // cube_meta_* metrics, wide-event columns) and both are exactly invisible
 // in results — the property tests in metaprop_test.go hold Fingerprint
-// equality against the cold walk across all operators and engines.
+// equality against the cold walk across all operators.
+//
+// The integrated domain must fit the severity store's packed keys;
+// otherwise integrate returns a *DomainError.
 func integrate(opts *Options, operands ...*Experiment) (*integration, error) {
+	in, err := integrateAny(opts, operands)
+	if err == nil {
+		in.out.reindex()
+		err = in.out.domainError()
+	}
+	return in, err
+}
+
+func integrateAny(opts *Options, operands []*Experiment) (*integration, error) {
 	if len(operands) == 0 {
 		return nil, ErrNoOperands
 	}
@@ -331,7 +269,7 @@ func integrateFull(opts *Options, operands []*Experiment) (*integration, error) 
 		}
 	}
 	in.out.topology = topo.Clone()
-	in.out.dirty = true
+	in.out.Invalidate()
 	recordIntegration(in, operands)
 	return in, nil
 }
@@ -475,7 +413,7 @@ func integrateIdentity(opts *Options, operands []*Experiment) (*integration, err
 	}
 	out.topology = first.topology.Clone()
 
-	out.dirty = true
+	out.Invalidate()
 	out.reindex()
 
 	// Identity tables for metrics and call nodes; a real (sorted-ID) table
@@ -545,11 +483,7 @@ func (in *integration) mergeMetrics(operands []*Experiment) {
 	for i := range operands {
 		in.metricFrom[i] = map[*Metric]*Metric{}
 		for m, tm := range tmOf[i] {
-			res := built[maps[i][tm]]
-			in.metricFrom[i][m] = res
-			if cur, ok := in.metricSource[res]; !ok || i < cur {
-				in.metricSource[res] = i
-			}
+			in.metricFrom[i][m] = built[maps[i][tm]]
 		}
 	}
 }
@@ -640,11 +574,7 @@ func (in *integration) mergeProgram(opts *Options, operands []*Experiment) {
 	for i := range operands {
 		in.cnodeFrom[i] = map[*CallNode]*CallNode{}
 		for cn, tm := range tmOf[i] {
-			res := built[maps[i][tm]]
-			in.cnodeFrom[i][cn] = res
-			if cur, ok := in.cnodeSource[res]; !ok || i < cur {
-				in.cnodeSource[res] = i
-			}
+			in.cnodeFrom[i][cn] = built[maps[i][tm]]
 		}
 	}
 }

@@ -48,12 +48,12 @@ func TestIntegrateMetricsOverlap(t *testing.T) {
 	if in.metricFrom[0][ta] != in.metricFrom[1][tb] {
 		t.Errorf("Time roots not shared")
 	}
-	// metricSource: Time from operand 0, IO from operand 1.
-	if in.metricSource[in.metricFrom[0][ta]] != 0 {
+	// Metric sources: Time from operand 0, IO from operand 1.
+	src := in.metricSrcs()
+	if ti, _ := in.out.MetricIndex(in.metricFrom[0][ta]); src[ti] != 0 {
 		t.Errorf("Time source wrong")
 	}
-	io := in.out.FindMetricByName("IO")
-	if in.metricSource[io] != 1 {
+	if ii, _ := in.out.MetricIndex(in.out.FindMetricByName("IO")); src[ii] != 1 {
 		t.Errorf("IO source wrong")
 	}
 }

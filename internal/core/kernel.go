@@ -1,51 +1,43 @@
 package core
 
 import (
+	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
 	"cube/internal/obs"
 )
 
-// This file implements the indexed severity kernel layer: the arithmetic
-// core shared by all algebraic operators.
+// This file implements the severity store and the indexed kernel layer: the
+// arithmetic core shared by all algebraic operators.
 //
-// The operators' element-wise semantics are defined over the *zero-extended*
-// severity functions on the integrated metadata. The naive realisation walks
-// each operand's sparse map and remaps every tuple through three
-// pointer-keyed maps (metricFrom/cnodeFrom/threadFrom) before touching a
-// pointer-keyed result map — four hash operations over 24-byte keys per
-// tuple. The kernel layer replaces that walk with three stages over flat
-// integer indices:
+// An experiment's severity function is one sorted block (sevBlock) of
+// packed (metric, call node, thread) enumeration indices and their values.
+// The operators' element-wise semantics are defined over the
+// *zero-extended* severity functions on the integrated metadata; the
+// kernels realise them in three stages over flat integer indices:
 //
-//  1. lower  — each operand's sparse map is lowered once into a columnar
-//     block: packed (metric, call node, thread) linear indices plus values,
-//     radix-sorted into the canonical pre-order. Blocks are cached on the
-//     experiment and invalidated by severity or metadata mutation, so
-//     repeated operator application over the same operands pays the pointer
-//     chasing only once.
+//  1. lower  — each operand's sealed block is read as is: sealing
+//     (Experiment.seal) already sorted it into canonical pre-order.
 //  2. accumulate — per operand, a remap table ([]int32, source index →
-//     result index, built from the integration's cached index maps with one
-//     map lookup per metadata node instead of one per tuple) turns every
-//     block entry into a packed uint64 linear index of the result domain.
-//     Because block keys ascend, the (metric, call node) row component only
-//     changes every run of consecutive tuples; the kernels re-derive the
-//     row remap on row changes and reduce the per-tuple work to one table
-//     load and one fused multiply-add. Accumulation goes into either a
-//     dense []float64 (when the result domain is small enough relative to
-//     the tuple count) or a map[uint64]float64 — both far cheaper than a
-//     pointer-keyed map. Work is sharded by result (metric, call node) row
-//     across workers; shards partition the key space, so accumulators never
-//     need locks.
+//     result index, built from the integration with one lookup per
+//     metadata node instead of one per tuple) turns every block entry into
+//     a packed uint64 linear index of the result domain. Because block
+//     keys ascend, the (metric, call node) row component only changes
+//     every run of consecutive tuples; the kernels re-derive the row remap
+//     on row changes and reduce the per-tuple work to one table load and
+//     one fused multiply-add. Accumulation goes into either a dense
+//     []float64 (when the result domain is small enough relative to the
+//     tuple count) or a map[uint64]float64. Work is sharded by result
+//     (metric, call node) row across workers; shards partition the key
+//     space, so accumulators never need locks.
 //  3. materialize — the accumulated (key, value) pairs are radix-sorted
-//     into canonical order and become the result's severity store directly:
-//     the sorted block doubles as the result's lowered-block cache, so
-//     operator chains never re-lower, and the pointer-keyed sparse map is
-//     only materialised lazily if a map-based accessor is used
-//     (Experiment.ensureSev). Exact zeros are dropped, as SetSeverity and
-//     AddSeverity would.
+//     into canonical order and become the result's block directly, so
+//     operator chains never re-lower. Exact zeros are dropped, as
+//     SetSeverity and AddSeverity would.
 //
 // Because every per-key combination folds the collapsed contributions of
 // one operand first (in canonical source order) and then combines operands
@@ -53,10 +45,10 @@ import (
 // options produce bit-identical results regardless of worker count or map
 // iteration order.
 
-// sevBlock is the columnar lowering of a sparse severity store: packed
-// linear indices (mi*nC + ci)*nT + ti in ascending order and their values,
-// where nC and nT are the owning experiment's enumeration sizes at build
-// time (clamped to ≥ 1 so the packing is invertible on empty dimensions).
+// sevBlock is a sorted severity store: packed linear indices
+// (mi*nC + ci)*nT + ti in ascending order and their non-zero values, where
+// nC and nT are the owning experiment's enumeration sizes (clamped to ≥ 1
+// so the packing is invertible on empty dimensions).
 type sevBlock struct {
 	key    []uint64
 	val    []float64
@@ -73,50 +65,85 @@ func (b *sevBlock) at(i int) (mi, ci, ti int) {
 	return int(rem / b.nC), int(rem % b.nC), ti
 }
 
-// loweredBlock returns the experiment's severity function in columnar form,
-// building and caching it on first use. Tuples that refer to unregistered
-// metadata (possible only on invalid experiments) are skipped, matching
-// Dense. The cache is invalidated by any severity mutation (sevGen) and by
-// metadata re-enumeration (metaGen).
-func (e *Experiment) loweredBlock() *sevBlock {
-	e.reindex()
-	if e.lowered != nil && e.loweredSevGen == e.sevGen && e.loweredMetaGen == e.metaGen {
-		return e.lowered
+// sumRange sums the values with keys in [lo, hi) per (metric, call node)
+// row first, then over rows — the grouping of a per-row walk.
+func (b *sevBlock) sumRange(lo, hi uint64) float64 {
+	var total, row float64
+	cur := ^uint64(0)
+	i, _ := slices.BinarySearch(b.key, lo)
+	for ; i < len(b.key) && b.key[i] < hi; i++ {
+		if r := b.key[i] / b.nT; r != cur {
+			total += row
+			row, cur = 0, r
+		}
+		row += b.val[i]
 	}
-	nC, nT := uint64(len(e.cnodes)), uint64(len(e.threads))
-	if nC == 0 {
-		nC = 1
-	}
-	if nT == 0 {
-		nT = 1
-	}
-	sev := e.sevMap()
-	keys := make([]uint64, 0, len(sev))
-	vals := make([]float64, 0, len(sev))
-	for k, v := range sev {
-		mi, ok1 := e.metricIndex[k.m]
-		ci, ok2 := e.cnodeIndex[k.c]
-		ti, ok3 := e.threadIndex[k.t]
-		if !ok1 || !ok2 || !ok3 {
+	return total + row
+}
+
+// remap re-keys the block through per-dimension index tables into a block
+// packed with nC and nT. A table entry of -1 drops the tuple (dropped
+// counts them); tuples that land on one key sum in source order.
+func (b *sevBlock) remap(rt remapTable, nC, nT uint64) (out *sevBlock, dropped int) {
+	keys := make([]uint64, 0, b.len())
+	vals := make([]float64, 0, b.len())
+	for i, v := range b.val {
+		mi, ci, ti := b.at(i)
+		rm, rc, rth := rt.m[mi], rt.c[ci], rt.t[ti]
+		if rm < 0 || rc < 0 || rth < 0 {
+			dropped++
 			continue
 		}
-		keys = append(keys, (uint64(mi)*nC+uint64(ci))*nT+uint64(ti))
+		keys = append(keys, (uint64(rm)*nC+uint64(rc))*nT+uint64(rth))
 		vals = append(vals, v)
 	}
-	keys, vals = exactSize(keys, vals)
+	keys, vals = sumSorted(keys, vals)
+	return &sevBlock{key: keys, val: vals, nC: nC, nT: nT}, dropped
+}
+
+// sumSorted sorts (key, value) pairs by key, stably, sums the values of
+// equal keys in their order, and drops zero sums. The result reuses the
+// input's storage, copied to exact size.
+func sumSorted(keys []uint64, vals []float64) ([]uint64, []float64) {
 	radixSortKV(keys, vals)
-	e.lowered = &sevBlock{key: keys, val: vals, nC: nC, nT: nT}
-	e.loweredSevGen = e.sevGen
-	e.loweredMetaGen = e.metaGen
-	if len(keys) == len(sev) {
-		// The block captures the map losslessly (no unregistered tuples
-		// were skipped), so the columnar form becomes the primary store:
-		// drop the pointer-keyed map — it is rebuilt on demand by
-		// ensureSev — and relieve the garbage collector of millions of
-		// pointer-bearing map entries on large experiments.
-		e.sev = nil
+	n := 0
+	for i := 0; i < len(keys); {
+		k, s := keys[i], vals[i]
+		for i++; i < len(keys) && keys[i] == k; i++ {
+			s += vals[i]
+		}
+		if s != 0 {
+			keys[n], vals[n] = k, s
+			n++
+		}
 	}
-	return e.lowered
+	return exactSize(keys[:n], vals[:n])
+}
+
+// DomainError reports an experiment whose metric × call node × thread
+// domain has more tuples than the severity store's 64-bit keys can
+// address.
+type DomainError struct {
+	Metrics, CallNodes, Threads int
+}
+
+func (e *DomainError) Error() string {
+	return fmt.Sprintf("core: severity domain of %d metrics × %d call nodes × %d threads exceeds 2^64 tuples",
+		e.Metrics, e.CallNodes, e.Threads)
+}
+
+// checkDomain returns a *DomainError unless every (metric, call node,
+// thread) index triple of the given dimension sizes packs into a distinct
+// uint64.
+func checkDomain(nM, nC, nT int) error {
+	hi, cells := bits.Mul64(uint64(max(nM, 1)), uint64(max(nC, 1)))
+	if hi == 0 {
+		hi, _ = bits.Mul64(cells, uint64(max(nT, 1)))
+	}
+	if hi != 0 {
+		return &DomainError{Metrics: nM, CallNodes: nC, Threads: nT}
+	}
+	return nil
 }
 
 // radixScratch pools the ping-pong buffers of radixSortKV; lowering several
@@ -208,17 +235,9 @@ type kernelPlan struct {
 	blocks []*sevBlock
 	maps   []remapTable
 	nC, nT uint64 // result dimensions used for packing (≥ 1)
-	cells  uint64 // total result cells, 0 when it would overflow
+	cells  uint64 // total result cells (integrate checked they fit)
 	total  int    // total tuples across all operand blocks
 	shards int
-}
-
-// kernelFeasible reports whether the result domain fits the packed-index
-// representation (it always does for realistic metadata; the guard keeps
-// pathological dimensions on the legacy path rather than overflowing).
-func kernelFeasible(out *Experiment) bool {
-	out.reindex()
-	return bits.Len(uint(len(out.metrics)))+bits.Len(uint(len(out.cnodes)))+bits.Len(uint(len(out.threads))) <= 62
 }
 
 func newKernelPlan(in *integration, opts *Options, operands []*Experiment, span *obs.Span) *kernelPlan {
@@ -251,7 +270,7 @@ func newKernelPlan(in *integration, opts *Options, operands []*Experiment, span 
 	tabs := in.tables()
 	for i, x := range operands {
 		lsp := span.StartChild("lower")
-		p.blocks[i] = x.loweredBlock()
+		p.blocks[i] = x.sealedBlock()
 		p.total += p.blocks[i].len()
 		p.maps[i] = tabs[i]
 		if lsp != nil {
@@ -583,14 +602,10 @@ func (p *kernelPlan) kernelFold(finish func(folded []float64) float64) {
 	stage.done("materialize")
 }
 
-// install writes the kernel output into the result's severity store, in
-// columnar form only: the sorted (key, value) pairs become the result's
-// lowered-block cache directly, so chained operators skip the lowering
-// stage, and the pointer-keyed sparse map is left unmaterialised —
-// Experiment.ensureSev builds it lazily if a map-based accessor is ever
-// used. Exact zeros were dropped by the accumulators, preserving the
-// zero-deletion invariant. The stored slices are exact-size, so a cached
-// result occupies what ResidentBytes charges for it.
+// install stores the kernel output as the result's severity block; the
+// accumulators already dropped exact zeros. The stored slices are
+// exact-size, so a cached result occupies what ResidentBytes charges for
+// it.
 func (p *kernelPlan) install(keys []uint64, vals []float64, sorted bool, parent *obs.Span) {
 	keys, vals = exactSize(keys, vals)
 	if !sorted {
@@ -599,12 +614,7 @@ func (p *kernelPlan) install(keys []uint64, vals []float64, sorted bool, parent 
 		radixSortKV(keys, vals)
 		rsp.End()
 	}
-	out := p.in.out
-	out.sevGen++
-	out.sev = nil // columnar-only until a map accessor materialises it
-	out.lowered = &sevBlock{key: keys, val: vals, nC: p.nC, nT: p.nT}
-	out.loweredSevGen = out.sevGen
-	out.loweredMetaGen = out.metaGen
+	p.in.out.installBlock(keys, vals)
 }
 
 // exactSize returns the pair with capacity equal to length, copying only

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -11,29 +13,39 @@ import (
 
 func TestLoweredBlockCaching(t *testing.T) {
 	e := buildSmall("a")
-	b1 := e.loweredBlock()
+	b1 := e.sealedBlock()
 	if b1.len() != e.NonZeroCount() {
 		t.Fatalf("block has %d tuples, store has %d", b1.len(), e.NonZeroCount())
 	}
-	if b2 := e.loweredBlock(); b2 != b1 {
+	if b2 := e.sealedBlock(); b2 != b1 {
 		t.Errorf("unchanged experiment rebuilt its block")
 	}
-	// Severity mutation invalidates.
+	// A severity write is sealed into a new block.
 	e.SetSeverity(e.Metrics()[0], e.CallNodes()[0], e.Threads()[0], 42)
-	b3 := e.loweredBlock()
+	b3 := e.sealedBlock()
 	if b3 == b1 {
-		t.Errorf("severity mutation did not invalidate the block")
+		t.Errorf("severity write did not reseal the block")
 	}
-	// Metadata mutation invalidates.
-	e.NewMetric("Fresh", Seconds, "")
-	if b4 := e.loweredBlock(); b4 == b3 {
-		t.Errorf("metadata mutation did not invalidate the block")
+	// Inserting a call node shifts pre-order indices: the block is
+	// repacked and every tuple keeps its value.
+	before := e.Fingerprint()
+	e.CallRoots()[0].NewChild(e.NewCallSite("app", 99, e.NewRegion("new", "app", 0, 0)))
+	e.Invalidate()
+	if b5 := e.sealedBlock(); b5 == b3 || b5.nC != uint64(len(e.CallNodes())) {
+		t.Errorf("call-tree growth did not repack the block")
+	}
+	sevs := func(f string) string { return f[strings.Index(f, "severity:"):] }
+	if after := e.Fingerprint(); sevs(after) != sevs(before) {
+		t.Errorf("repacking changed the severities:\n%s\nwant\n%s", after, before)
+	}
+	if err := e.Validate(); err != nil {
+		t.Errorf("repacked experiment invalid: %v", err)
 	}
 }
 
 func TestLoweredBlockCanonicalOrder(t *testing.T) {
 	e := buildSmall("a")
-	b := e.loweredBlock()
+	b := e.sealedBlock()
 	for i := 1; i < b.len(); i++ {
 		if b.key[i-1] >= b.key[i] {
 			t.Fatalf("keys not strictly ascending at %d: %d, %d", i, b.key[i-1], b.key[i])
@@ -100,7 +112,7 @@ func TestRadixSortKVSharedDigits(t *testing.T) {
 	}
 }
 
-// --- Lazy severity-map materialisation ---------------------------------------
+// --- Sealed store --------------------------------------------------------------
 
 func TestKernelResultIsColumnarOnly(t *testing.T) {
 	a, b := buildSmall("a"), buildSmall("b")
@@ -108,30 +120,20 @@ func TestKernelResultIsColumnarOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.sev != nil {
-		t.Fatalf("kernel result materialised its severity map eagerly")
+	if !d.sealed.Load() || d.pending != nil {
+		t.Fatalf("kernel result is not sealed")
 	}
-	// Count and streaming access work without materialising.
 	n := d.NonZeroCount()
 	seen := 0
 	d.EachSeverity(func(*Metric, *CallNode, *Thread, float64) { seen++ })
-	if d.sev != nil {
-		t.Errorf("NonZeroCount/EachSeverity materialised the map")
-	}
 	if n != seen {
 		t.Errorf("NonZeroCount = %d, EachSeverity visited %d", n, seen)
 	}
-	// A map accessor materialises losslessly.
-	before := d.Fingerprint()
+	// Point reads are loads: they leave the block as it is.
+	blk := d.block
 	_ = d.Severity(d.Metrics()[0], d.CallNodes()[0], d.Threads()[0])
-	if d.sev == nil {
-		t.Fatalf("Severity did not materialise the map")
-	}
-	if len(d.sev) != n {
-		t.Errorf("materialised map has %d entries, want %d", len(d.sev), n)
-	}
-	if d.Fingerprint() != before {
-		t.Errorf("materialisation changed the severity content")
+	if d.block != blk || d.pending != nil {
+		t.Errorf("Severity changed the store")
 	}
 }
 
@@ -141,12 +143,9 @@ func TestLazyResultSurvivesMetadataMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.sev != nil {
-		t.Fatalf("expected columnar-only result")
-	}
 	total := d.MetricInclusive(d.FindMetricByName("Time"))
-	// Growing the metric forest re-enumerates the metadata; the columnar
-	// store must be materialised before its indices go stale.
+	// Growing the metric forest re-enumerates the metadata; the block
+	// must follow the new indices.
 	d.NewMetric("Extra", Seconds, "")
 	if got := d.MetricInclusive(d.FindMetricByName("Time")); got != total {
 		t.Errorf("total after metadata mutation = %v, want %v", got, total)
@@ -201,11 +200,11 @@ func TestKernelMapAccumulatorPath(t *testing.T) {
 	if p := newKernelPlan(in, nil, []*Experiment{a, b}, nil); p.denseOK() {
 		t.Fatalf("fixture selects the dense accumulator (cells=%d, total=%d); enlarge it", p.cells, p.total)
 	}
-	k, err := Difference(a, b, &Options{Engine: EngineKernel})
+	k, err := Difference(a, b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := Difference(a, b, &Options{Engine: EngineLegacy})
+	l, err := oracle("difference", nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,23 +221,23 @@ func TestKernelMapAccumulatorPath(t *testing.T) {
 func TestKernelWorkerCountInvariance(t *testing.T) {
 	a, b := buildSmall("a"), buildSmall("b")
 	b.SetSeverity(b.FindMetricByName("Time"), b.FindCallNode("main/compute"), b.Threads()[1], 7)
-	ref, err := Difference(a, b, &Options{Engine: EngineLegacy})
+	ref, err := oracle("difference", nil, a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 2, 3, 8, 64} {
-		d, err := Difference(a, b, &Options{Engine: EngineKernel, Workers: workers})
+		d, err := Difference(a, b, &Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if d.Fingerprint() != ref.Fingerprint() {
 			t.Errorf("workers=%d: result differs from reference", workers)
 		}
-		sd, err := StdDev(&Options{Engine: EngineKernel, Workers: workers}, a, b)
+		sd, err := StdDev(&Options{Workers: workers}, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sdRef, err := StdDev(&Options{Engine: EngineLegacy}, a, b)
+		sdRef, err := oracle("stddev", nil, a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,12 +254,12 @@ func TestKernelWorkerCountInvariance(t *testing.T) {
 // and the cubexml boundary keep such values out of well-formed experiments;
 // this exercises programmatic construction.)
 func TestKernelNaNPropagation(t *testing.T) {
-	for _, engine := range []Engine{EngineKernel, EngineLegacy} {
+	for _, engine := range []string{"kernel", "oracle"} {
 		a, b := buildSmall("a"), buildSmall("b")
 		m, c, th := a.FindMetricByName("Time"), a.FindCallNode("main"), a.Threads()[0]
 		a.SetSeverity(m, c, th, math.NaN())
 		b.SetSeverity(b.FindMetricByName("Time"), b.FindCallNode("main"), b.Threads()[0], math.Inf(1))
-		d, err := Difference(a, b, &Options{Engine: engine})
+		d, err := runEngine(engine, "difference", a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +270,7 @@ func TestKernelNaNPropagation(t *testing.T) {
 		a2, b2 := buildSmall("a"), buildSmall("b")
 		a2.SetSeverity(a2.FindMetricByName("Time"), a2.FindCallNode("main"), a2.Threads()[0], math.Inf(1))
 		b2.SetSeverity(b2.FindMetricByName("Time"), b2.FindCallNode("main"), b2.Threads()[0], math.Inf(1))
-		d2, err := Difference(a2, b2, &Options{Engine: engine})
+		d2, err := runEngine(engine, "difference", a2, b2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,13 +287,39 @@ func TestKernelMergeOwnership(t *testing.T) {
 	// values, even where the second has tuples the first lacks.
 	a, b := buildSmall("a"), buildSmall("b")
 	b.SetSeverity(b.FindMetricByName("Time"), b.FindCallNode("main"), b.Threads()[0], 99)
-	for _, engine := range []Engine{EngineKernel, EngineLegacy} {
-		g, err := Merge(a, b, &Options{Engine: engine})
+	for _, engine := range []string{"kernel", "oracle"} {
+		g, err := runEngine(engine, "merge", a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := sev(g, "Time", "main", 0); got != 0.5 {
 			t.Errorf("engine %v: merged severity = %v, want first operand's 0.5", engine, got)
+		}
+	}
+}
+
+// --- Packed-key bound ------------------------------------------------------------
+
+// TestCheckDomain: a domain packs into the 64-bit keys exactly when its
+// metric × call node × thread product is below 2^64 (empty dimensions
+// count as one). Only the sizes are checked; nothing that large is built.
+func TestCheckDomain(t *testing.T) {
+	for _, tc := range []struct {
+		nM, nC, nT int
+		ok         bool
+	}{
+		{0, 0, 0, true},
+		{64, 512, 64, true},
+		{1 << 21, 1 << 21, 1 << 21, true},  // 2^63
+		{1 << 22, 1 << 21, 1 << 21, false}, // 2^64
+		{1 << 40, 1 << 24, 0, false},       // overflows in metrics × call nodes
+		{3, 6148914691236517205, 1, true},  // 2^64 - 1
+		{3, 6148914691236517206, 1, false}, // just over
+	} {
+		err := checkDomain(tc.nM, tc.nC, tc.nT)
+		var de *DomainError
+		if tc.ok != (err == nil) || (err != nil && (!errors.As(err, &de) || de.Metrics != tc.nM)) {
+			t.Errorf("checkDomain(%d, %d, %d) = %v, want ok=%v and a *DomainError otherwise", tc.nM, tc.nC, tc.nT, err, tc.ok)
 		}
 	}
 }

@@ -24,8 +24,8 @@ import (
 // Keying on digests alone would be unsound: the same operand tuple merges
 // differently under CallMatchCalleeLine than under CallMatchCallee, and the
 // system forest differs between collapse and copy-first — hence the Options
-// fingerprint in the key. Engine and Workers do not enter the key: they
-// select how severity arithmetic runs, not what the integration is.
+// fingerprint in the key. Workers does not enter the key: it selects
+// how severity arithmetic runs, not what the integration is.
 //
 // Entries never retain operand experiments — only the skeleton, index
 // tables, and source attribution — so the cache pins metadata bytes, not

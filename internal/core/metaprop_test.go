@@ -58,32 +58,23 @@ func TestMetaFastpathInvisible(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		for mode, pair := range metaPropPairs(r) {
 			a, b := pair[0], pair[1]
-			for _, eng := range []Engine{EngineKernel, EngineLegacy} {
-				opts := &Options{Engine: eng}
-				ops := map[string]func() (*Experiment, error){
-					"difference": func() (*Experiment, error) { return Difference(a, b, opts) },
-					"sum":        func() (*Experiment, error) { return Sum(opts, a, b) },
-					"mean":       func() (*Experiment, error) { return Mean(opts, a, b) },
-					"merge":      func() (*Experiment, error) { return Merge(a, b, opts) },
-					"min":        func() (*Experiment, error) { return Min(opts, a, b) },
-					"max":        func() (*Experiment, error) { return Max(opts, a, b) },
-					"stddev":     func() (*Experiment, error) { return StdDev(opts, a, b) },
-				}
-				for name, op := range ops {
+			for _, eng := range []string{"kernel", "oracle"} {
+				for name := range arithmeticOps {
+					op := func() (*Experiment, error) { return runEngine(eng, name, a, b) }
 					metaFastpathOff.Store(true)
 					want, err := op()
 					if err != nil {
-						t.Fatalf("seed %d %s engine %d %s (cold): %v", seed, mode, eng, name, err)
+						t.Fatalf("seed %d %s engine %s %s (cold): %v", seed, mode, eng, name, err)
 					}
 					metaFastpathOff.Store(false)
 					SetIntegrateMemoBudget(DefaultIntegrateMemoBytes) // start from an empty memo
 					for pass, label := range []string{"first (memo miss)", "second (memo hit)"} {
 						got, err := op()
 						if err != nil {
-							t.Fatalf("seed %d %s engine %d %s %s: %v", seed, mode, eng, name, label, err)
+							t.Fatalf("seed %d %s engine %s %s %s: %v", seed, mode, eng, name, label, err)
 						}
 						if got.Fingerprint() != want.Fingerprint() {
-							t.Fatalf("seed %d %s engine %d %s: fast-path pass %d result differs from cold merge",
+							t.Fatalf("seed %d %s engine %s %s: fast-path pass %d result differs from cold merge",
 								seed, mode, eng, name, pass)
 						}
 					}

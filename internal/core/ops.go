@@ -21,10 +21,9 @@ import (
 // integrated domain. Every operator, including StdDev, folds per operand
 // first and only then combines across operands.
 //
-// The arithmetic itself runs on the indexed kernel layer (kernel.go) by
-// default; Options.Engine == EngineLegacy selects the original pointer-map
-// walk, kept as an executable specification that property tests compare
-// against.
+// The arithmetic itself runs on the indexed kernel layer (kernel.go); the
+// original per-tuple walk survives in ops_oracle_test.go as the
+// specification the property tests compare against.
 //
 // Severity values are combined with IEEE-754 semantics: non-finite inputs
 // propagate (NaN in an operand yields NaN in the result, with no
@@ -50,19 +49,6 @@ func deriveProvenance(in *integration, op string, operands []*Experiment) {
 	out.Attrs["cube.operands"] = strings.Join(names, "; ")
 }
 
-// presize replaces the result's severity store with one sized for the
-// operands' combined tuple count, avoiding incremental rehashing on large
-// experiments. Legacy engine only: the kernel stores its columnar output
-// at exactly the result's tuple count (kernelPlan.install).
-func presize(out *Experiment, operands []*Experiment) {
-	est := 0
-	for _, x := range operands {
-		est += x.NonZeroCount()
-	}
-	out.sevGen++
-	out.sev = make(map[sevKey]float64, est)
-}
-
 // linearCombine implements every operator that is a weighted sum of its
 // operands' (zero-extended) severity functions.
 func linearCombine(op string, opts *Options, weights []float64, operands ...*Experiment) (*Experiment, error) {
@@ -72,34 +58,10 @@ func linearCombine(op string, opts *Options, weights []float64, operands ...*Exp
 		rec.fail()
 		return nil, err
 	}
-	if opts.useKernel(in.out) {
-		newKernelPlan(in, opts, operands, rec.opSpan()).kernelCombine(weights, nil)
-	} else {
-		sp := rec.child("legacy-combine")
-		legacyLinearCombine(in, weights, operands)
-		sp.End()
-	}
+	newKernelPlan(in, opts, operands, rec.opSpan()).kernelCombine(weights, nil)
 	deriveProvenance(in, op, operands)
 	rec.done(in.out)
 	return in.out, nil
-}
-
-func legacyLinearCombine(in *integration, weights []float64, operands []*Experiment) {
-	in.ensureMaps()
-	presize(in.out, operands)
-	for i, x := range operands {
-		w := weights[i]
-		if w == 0 {
-			continue
-		}
-		mf, cf, tf := in.metricFrom[i], in.cnodeFrom[i], in.threadFrom[i]
-		// EachSeverity streams the operand's columnar form read-only;
-		// sevMap() would materialise the pointer map on kernel results and
-		// on the server's shared cached masters.
-		x.EachSeverity(func(m *Metric, c *CallNode, t *Thread, v float64) {
-			in.out.AddSeverity(mf[m], cf[c], tf[t], w*v)
-		})
-	}
 }
 
 // Difference computes a derived experiment whose severity function is the
@@ -179,37 +141,14 @@ func MergeAll(opts *Options, operands ...*Experiment) (*Experiment, error) {
 		rec.fail()
 		return nil, err
 	}
-	if opts.useKernel(in.out) {
-		w := make([]float64, len(operands))
-		for i := range w {
-			w[i] = 1
-		}
-		newKernelPlan(in, opts, operands, rec.opSpan()).kernelCombine(w, mergeKeep(in, operands))
-	} else {
-		sp := rec.child("legacy-combine")
-		legacyMerge(in, operands)
-		sp.End()
+	w := make([]float64, len(operands))
+	for i := range w {
+		w[i] = 1
 	}
+	newKernelPlan(in, opts, operands, rec.opSpan()).kernelCombine(w, mergeKeep(in, operands))
 	deriveProvenance(in, "merge", operands)
 	rec.done(in.out)
 	return in.out, nil
-}
-
-func legacyMerge(in *integration, operands []*Experiment) {
-	in.ensureMaps()
-	presize(in.out, operands)
-	for i, x := range operands {
-		mf, cf, tf := in.metricFrom[i], in.cnodeFrom[i], in.threadFrom[i]
-		x.EachSeverity(func(m *Metric, c *CallNode, t *Thread, v float64) {
-			rm := mf[m]
-			// The merge rule operates at metric granularity: the operand
-			// that provides a metric first owns all of its values.
-			if in.metricSource[rm] != i {
-				return
-			}
-			in.out.AddSeverity(rm, cf[c], tf[t], v)
-		})
-	}
 }
 
 // Min computes the element-wise minimum over the operands' zero-extended
@@ -265,13 +204,7 @@ func StdDev(opts *Options, operands ...*Experiment) (*Experiment, error) {
 		}
 		return math.Sqrt(variance)
 	}
-	if opts.useKernel(in.out) {
-		newKernelPlan(in, opts, operands, rec.opSpan()).kernelFold(stddev)
-	} else {
-		sp := rec.child("legacy-combine")
-		legacyFold(in, operands, stddev)
-		sp.End()
-	}
+	newKernelPlan(in, opts, operands, rec.opSpan()).kernelFold(stddev)
 	deriveProvenance(in, "stddev", operands)
 	rec.done(in.out)
 	return in.out, nil
@@ -298,46 +231,8 @@ func foldCombine(op string, opts *Options, fold func(acc, v float64) float64, op
 		}
 		return acc
 	}
-	if opts.useKernel(in.out) {
-		newKernelPlan(in, opts, operands, rec.opSpan()).kernelFold(finish)
-	} else {
-		sp := rec.child("legacy-combine")
-		legacyFold(in, operands, finish)
-		sp.End()
-	}
+	newKernelPlan(in, opts, operands, rec.opSpan()).kernelFold(finish)
 	deriveProvenance(in, op, operands)
 	rec.done(in.out)
 	return in.out, nil
-}
-
-// legacyFold is the reference implementation behind foldCombine and StdDev:
-// it collects, per result tuple, the folded (collapse-summed) value of every
-// operand and applies finish to the per-operand vector.
-func legacyFold(in *integration, operands []*Experiment, finish func(folded []float64) float64) {
-	in.ensureMaps()
-	presize(in.out, operands)
-	type vec struct {
-		vals []float64
-	}
-	tuples := map[sevKey]*vec{}
-	for i, x := range operands {
-		mf, cf, tf := in.metricFrom[i], in.cnodeFrom[i], in.threadFrom[i]
-		x.EachSeverity(func(m *Metric, c *CallNode, t *Thread, v float64) {
-			rk := sevKey{mf[m], cf[c], tf[t]}
-			tv, ok := tuples[rk]
-			if !ok {
-				tv = &vec{vals: make([]float64, len(operands))}
-				tuples[rk] = tv
-			}
-			// Collapsed source tuples of one operand sum into a single
-			// zero-extended value before the element-wise operation sees
-			// them. (StdDev's former per-source-tuple accumulation got
-			// this wrong: two collapsed values v1, v2 contributed
-			// v1²+v2² instead of (v1+v2)² to the sum of squares.)
-			tv.vals[i] += v
-		})
-	}
-	for rk, tv := range tuples {
-		in.out.SetSeverity(rk.m, rk.c, rk.t, finish(tv.vals))
-	}
 }

@@ -424,9 +424,9 @@ func TestStdDevSystemCollapseRegression(t *testing.T) {
 	}
 	// Folded operand values at the single result tuple: 1+2 = 3 and 4.
 	want := math.Sqrt(0.5) // mean 3.5, sample variance ((−.5)²+(.5)²)/1
-	for _, engine := range []Engine{EngineKernel, EngineLegacy} {
+	for _, engine := range []string{"kernel", "oracle"} {
 		a, b := build()
-		sd, err := StdDev(&Options{Engine: engine}, a, b)
+		sd, err := runEngine(engine, "stddev", a, b)
 		if err != nil {
 			t.Fatal(err)
 		}

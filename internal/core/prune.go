@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Prune is a data-reduction operator in the spirit of the paper's
 // future-work discussion ("new operators which perform data reduction …
@@ -14,7 +17,7 @@ import "fmt"
 // The monotonicity argument behind the cut (a subtree below the threshold
 // has only subtrees below the threshold) holds for non-negative
 // severities; for difference experiments the magnitude of the selected
-// metric is used.
+// metric is used, per (metric, call node) after summing over threads.
 func Prune(x *Experiment, metricPath string, threshold float64) (*Experiment, error) {
 	if threshold < 0 || threshold > 1 {
 		return nil, fmt.Errorf("core: prune threshold %g outside [0,1]", threshold)
@@ -29,72 +32,63 @@ func Prune(x *Experiment, metricPath string, threshold float64) (*Experiment, er
 	if sel == nil {
 		return nil, fmt.Errorf("core: metric %q not found", metricPath)
 	}
-	var metrics []*Metric
-	sel.Walk(func(m *Metric) { metrics = append(metrics, m) })
 
-	// Re-route the operand's severities onto the integrated copy first so
-	// inclusive values can be computed on out.
-	mf, cf, tf := in.metricFrom[0], in.cnodeFrom[0], in.threadFrom[0]
-	presize(out, []*Experiment{x})
-	x.EachSeverity(func(m *Metric, c *CallNode, t *Thread, v float64) {
-		out.AddSeverity(mf[m], cf[c], tf[t], v)
+	// The operand's severities on the integrated domain give, in one
+	// exclusive pass, |severity| of the selected metric subtree per call
+	// node; one bottom-up pass over the pre-order enumeration turns that
+	// into the inclusive value per call subtree.
+	nC, nT := out.packDims()
+	ib, _ := x.sealedBlock().remap(in.tables()[0], nC, nT)
+	nodes := out.CallNodes()
+	incl := make([]float64, len(nodes))
+	sel.Walk(func(m *Metric) {
+		for ci := range nodes {
+			lo := (uint64(out.metricIndex[m])*nC + uint64(ci)) * nT
+			incl[ci] += math.Abs(ib.sumRange(lo, lo+nT))
+		}
 	})
-
-	// |inclusive| of the selected metric subtree per call node.
-	absIncl := func(c *CallNode) float64 {
-		var s float64
-		c.Walk(func(d *CallNode) {
-			for _, m := range metrics {
-				v := out.MetricValue(m, d)
-				if v < 0 {
-					v = -v
-				}
-				s += v
-			}
-		})
-		return s
+	for i := len(nodes) - 1; i >= 0; i-- {
+		if p := nodes[i].parent; p != nil {
+			incl[out.cnodeIndex[p]] += incl[i]
+		}
 	}
 	var total float64
 	for _, r := range out.CallRoots() {
-		total += absIncl(r)
+		total += incl[out.cnodeIndex[r]]
 	}
 	cut := threshold * total
 
 	// Decide survivors top-down and collapse the rest.
-	target := map[*CallNode]*CallNode{} // pruned node -> kept ancestor
+	target := make([]*CallNode, len(nodes)) // node index -> node holding its severities
 	var walk func(n *CallNode, keptAncestor *CallNode)
 	walk = func(n *CallNode, keptAncestor *CallNode) {
-		kept := keptAncestor == nil || absIncl(n) >= cut
-		if kept {
-			var survivors []*CallNode
-			for _, c := range n.children {
-				walk(c, n)
-				if target[c] == nil { // child survived
-					survivors = append(survivors, c)
-				}
-			}
-			n.children = survivors
+		if keptAncestor != nil && incl[out.cnodeIndex[n]] < cut {
+			// Collapse this whole subtree into the kept ancestor.
+			n.Walk(func(d *CallNode) { target[out.cnodeIndex[d]] = keptAncestor })
 			return
 		}
-		// Collapse this whole subtree into the kept ancestor.
-		n.Walk(func(d *CallNode) { target[d] = keptAncestor })
+		target[out.cnodeIndex[n]] = n
+		var survivors []*CallNode
+		for _, c := range n.children {
+			walk(c, n)
+			if target[out.cnodeIndex[c]] == c {
+				survivors = append(survivors, c)
+			}
+		}
+		n.children = survivors
 	}
 	for _, r := range out.CallRoots() {
 		walk(r, nil)
 	}
-	out.dirty = true
 
 	// Re-attribute severities of collapsed nodes.
-	moves := map[sevKey]float64{}
-	for k, v := range out.sevMap() {
-		if tgt := target[k.c]; tgt != nil {
-			moves[k] = v
-		}
+	out.Invalidate()
+	out.reindex()
+	callTo := make([]int32, len(nodes))
+	for i, t := range target {
+		callTo[i] = int32(out.cnodeIndex[t])
 	}
-	for k, v := range moves {
-		out.SetSeverity(k.m, k.c, k.t, 0)
-		out.AddSeverity(k.m, target[k.c], k.t, v)
-	}
+	in.installRestructured(nil, callTo)
 
 	out.Derived = true
 	out.Operation = "prune"

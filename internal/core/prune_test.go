@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
+	"testing/quick"
 )
 
 // buildDeep: main{ heavy{ leaf }, light } with Time severities per thread:
@@ -118,5 +120,111 @@ func TestPruneErrors(t *testing.T) {
 	}
 	if _, err := Prune(e, "Time", 1.5); err == nil {
 		t.Errorf("threshold > 1 accepted")
+	}
+}
+
+// pruneOracle is Prune's former algorithm, kept as the reference for
+// TestQuickPruneMatchesOracle: absIncl re-walks every subtree through
+// MetricValue for every node it decides, and collapsed severities are
+// re-attributed tuple by tuple through AddSeverity.
+func pruneOracle(x *Experiment, metricPath string, threshold float64) (*Experiment, error) {
+	in, err := integrate(nil, x)
+	if err != nil {
+		return nil, err
+	}
+	out := in.out
+	sel := out.FindMetric(metricPath)
+	var metrics []*Metric
+	sel.Walk(func(m *Metric) { metrics = append(metrics, m) })
+	in.ensureMaps()
+	mf, cf, tf := in.metricFrom[0], in.cnodeFrom[0], in.threadFrom[0]
+	x.EachSeverity(func(m *Metric, c *CallNode, t *Thread, v float64) {
+		out.AddSeverity(mf[m], cf[c], tf[t], v)
+	})
+	absIncl := func(c *CallNode) float64 {
+		var s float64
+		c.Walk(func(d *CallNode) {
+			for _, m := range metrics {
+				s += math.Abs(out.MetricValue(m, d))
+			}
+		})
+		return s
+	}
+	var total float64
+	for _, r := range out.CallRoots() {
+		total += absIncl(r)
+	}
+	cut := threshold * total
+	type tuple struct {
+		m *Metric
+		c *CallNode
+		t *Thread
+		v float64
+	}
+	var tuples []tuple
+	out.EachSeverity(func(m *Metric, c *CallNode, t *Thread, v float64) { tuples = append(tuples, tuple{m, c, t, v}) })
+
+	target := map[*CallNode]*CallNode{} // pruned node -> kept ancestor
+	var walk func(n *CallNode, keptAncestor *CallNode)
+	walk = func(n *CallNode, keptAncestor *CallNode) {
+		if keptAncestor != nil && absIncl(n) < cut {
+			n.Walk(func(d *CallNode) { target[d] = keptAncestor })
+			return
+		}
+		var survivors []*CallNode
+		for _, c := range n.children {
+			walk(c, n)
+			if target[c] == nil {
+				survivors = append(survivors, c)
+			}
+		}
+		n.children = survivors
+	}
+	for _, r := range out.CallRoots() {
+		walk(r, nil)
+	}
+	out.block = &sevBlock{nC: 1, nT: 1}
+	out.Invalidate()
+	for _, tp := range tuples {
+		c := tp.c
+		if tgt := target[c]; tgt != nil {
+			c = tgt
+		}
+		out.AddSeverity(tp.m, c, tp.t, tp.v)
+	}
+	return out, nil
+}
+
+// Property: Prune, with its one exclusive and one inclusive pass, keeps
+// the same call nodes and severities as the former re-walking algorithm,
+// on random trees with negative severities (plain and difference
+// operands), at thresholds 0, 1 and in between.
+func TestQuickPruneMatchesOracle(t *testing.T) {
+	f := func(seedA, seedB int64, pick uint8, thRaw uint16) bool {
+		a := randomExperiment(rand.New(rand.NewSource(seedA)), "a")
+		b := randomExperiment(rand.New(rand.NewSource(seedB)), "b")
+		d, err := Difference(a, b, nil)
+		if err != nil {
+			return false
+		}
+		for _, x := range []*Experiment{a, d} {
+			path := x.Metrics()[int(pick)%len(x.Metrics())].Path()
+			for _, th := range []float64{0, 1, float64(thRaw) / math.MaxUint16} {
+				got, err1 := Prune(x, path, th)
+				want, err2 := pruneOracle(x, path, th)
+				if err1 != nil || err2 != nil {
+					t.Logf("prune %s at %g: %v / %v", path, th, err1, err2)
+					return false
+				}
+				if got.Fingerprint() != want.Fingerprint() {
+					t.Logf("prune %s at %g differs from the oracle:\n%s\nwant\n%s", path, th, got.Fingerprint(), want.Fingerprint())
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, quickCfg()); err != nil {
+		t.Error(err)
 	}
 }

@@ -336,7 +336,7 @@ func TestQuickCloneFaithful(t *testing.T) {
 	}
 }
 
-// Property: the kernel engine and the legacy reference walk are
+// Property: the kernel and the reference walk (ops_oracle_test.go) are
 // observationally identical — for every operator, system-integration mode,
 // and worker count, the results carry the same fingerprint. Severities are
 // dyadic (see randomExperiment), so all sums are exact and fingerprint
@@ -359,40 +359,28 @@ func TestQuickEngineEquivalence(t *testing.T) {
 			padCallTree(b, 1200)
 		}
 		sys := systems[int(sysRaw)%len(systems)]
-		kernel := &Options{System: sys, Engine: EngineKernel, Workers: workerCounts[int(wRaw)%len(workerCounts)]}
-		legacy := &Options{System: sys, Engine: EngineLegacy}
-		ops := []struct {
-			fold bool // min, max and stddev run the fold accumulator
-			run  func(o *Options) (*Experiment, error)
-		}{
-			{false, func(o *Options) (*Experiment, error) { return Difference(a, b, o) }},
-			{false, func(o *Options) (*Experiment, error) { return Sum(o, a, b) }},
-			{false, func(o *Options) (*Experiment, error) { return Mean(o, a, b) }},
-			{false, func(o *Options) (*Experiment, error) { return Merge(a, b, o) }},
-			{true, func(o *Options) (*Experiment, error) { return Min(o, a, b) }},
-			{true, func(o *Options) (*Experiment, error) { return Max(o, a, b) }},
-			{true, func(o *Options) (*Experiment, error) { return StdDev(o, a, b) }},
-		}
-		for i, op := range ops {
+		kernel := &Options{System: sys, Workers: workerCounts[int(wRaw)%len(workerCounts)]}
+		legacy := &Options{System: sys}
+		for op, run := range arithmeticOps {
 			kernel.Event = sink.NewEvent("cli", "")
-			k, errK := op.run(kernel)
-			l, errL := op.run(legacy)
+			k, errK := run(kernel, a, b)
+			l, errL := oracle(op, legacy, a, b)
 			if errK != nil || errL != nil {
 				return false
 			}
 			if k.Fingerprint() != l.Fingerprint() {
-				t.Logf("op %d: kernel and legacy results differ", i)
+				t.Logf("%s: kernel and oracle results differ", op)
 				return false
 			}
 			want := "dense"
 			switch {
-			case op.fold:
+			case op == "min" || op == "max" || op == "stddev": // the fold accumulator
 				want = "fold"
 			case sparse:
 				want = "sparse"
 			}
 			if got := kernel.Event.Fields().Accumulator; got != want {
-				t.Logf("op %d: accumulator %q, want %q", i, got, want)
+				t.Logf("%s: accumulator %q, want %q", op, got, want)
 				return false
 			}
 			if !exactBlock(t, k) {
@@ -440,14 +428,14 @@ func TestKernelSparseSortInPooledBuffer(t *testing.T) {
 		bufs.k, bufs.v = make([]uint64, 1<<14), make([]float64, 1<<14)
 		radixScratch.Put(bufs)
 		ev := obs.NewEventSink(1).NewEvent("cli", "")
-		out, err := op(&Options{Engine: EngineKernel, Workers: 1, Event: ev})
+		out, err := op(&Options{Workers: 1, Event: ev})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if acc := ev.Fields().Accumulator; acc == "dense" {
 			t.Fatalf("fixture selects the dense accumulator; enlarge it")
 		}
-		blk := out.lowered
+		blk := out.block
 		if n := blk.len(); n < 2 || blk.key[n-1] > 0xff {
 			t.Fatalf("fixture keys span more than one radix digit (%d keys, max %d)", n, blk.key[n-1])
 		}
@@ -471,11 +459,7 @@ func padCallTree(e *Experiment, n int) {
 // its keys and its values, failing t when not.
 func exactBlock(t *testing.T, e *Experiment) bool {
 	t.Helper()
-	b := e.lowered
-	if b == nil {
-		t.Errorf("%s: result has no columnar block", e.Title)
-		return false
-	}
+	b := e.block
 	if cap(b.key) != len(b.key) || cap(b.val) != len(b.val) {
 		t.Errorf("%s: block keys len %d cap %d, values len %d cap %d; want cap == len",
 			e.Title, len(b.key), cap(b.key), len(b.val), cap(b.val))

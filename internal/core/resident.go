@@ -6,8 +6,7 @@ import (
 )
 
 // ResidentBytes estimates the heap bytes the experiment occupies: its
-// severity store (the columnar block's slice capacities and, when
-// materialised, the pointer-keyed map), its metadata forests, the cached
+// severity block's slice capacities, its metadata forests, the cached
 // enumerations and index maps, and the experiment header itself. Names are
 // interned process-wide (intern.go) and shared by every experiment, so
 // their bytes are not charged; titles and attributes, which are per
@@ -16,9 +15,10 @@ import (
 //
 // The byte-budgeted caches that hold experiments (the expression result
 // cache, the integration memo) charge this, so their budgets bound
-// resident memory. It only reads the experiment — it never reindexes or
-// lowers — so it is safe on a shared read-only master.
+// resident memory. It seals pending writes first, which is safe on a
+// shared master.
 func (e *Experiment) ResidentBytes() int64 {
+	e.seal()
 	const ptr = int64(unsafe.Sizeof(uintptr(0)))
 	n := allocBytes(int64(unsafe.Sizeof(*e)))
 	n += int64(len(e.Title))
@@ -69,25 +69,15 @@ func (e *Experiment) ResidentBytes() int64 {
 	n += allocBytes(int64(cap(e.procs)) * ptr)
 	n += allocBytes(int64(cap(e.threads)) * ptr)
 	const indexSlot = unsafe.Sizeof(uintptr(0)) + unsafe.Sizeof(0)
-	if e.metricIndex != nil {
-		n += mapBytes(len(e.metricIndex), indexSlot)
-	}
-	if e.cnodeIndex != nil {
-		n += mapBytes(len(e.cnodeIndex), indexSlot)
-	}
-	if e.threadIndex != nil {
-		n += mapBytes(len(e.threadIndex), indexSlot)
-	}
+	n += mapBytes(len(e.metricIndex), indexSlot)
+	n += mapBytes(len(e.cnodeIndex), indexSlot)
+	n += mapBytes(len(e.threadIndex), indexSlot)
 
-	// Severity store: the pointer-keyed map view and the columnar block.
-	if e.sev != nil {
-		n += mapBytes(len(e.sev), unsafe.Sizeof(sevKey{})+unsafe.Sizeof(0.0))
-	}
-	if b := e.lowered; b != nil {
-		n += allocBytes(int64(unsafe.Sizeof(*b)))
-		n += allocBytes(int64(cap(b.key)) * 8)
-		n += allocBytes(int64(cap(b.val)) * 8)
-	}
+	// Severity block.
+	b := e.block
+	n += allocBytes(int64(unsafe.Sizeof(*b)))
+	n += allocBytes(int64(cap(b.key)) * 8)
+	n += allocBytes(int64(cap(b.val)) * 8)
 	if e.metaDigest.Load() != nil {
 		n += allocBytes(int64(unsafe.Sizeof(metaDigestCache{})))
 	}

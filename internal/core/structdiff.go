@@ -61,44 +61,34 @@ func StructuralDiff(a, b *Experiment, opts *Options) (*StructuralReport, error) 
 	if err != nil {
 		return nil, err
 	}
-	// The report is phrased in terms of the operand→result pointer maps;
-	// a fast-path integration carries flat tables only, so materialise
-	// the map form before reading it.
-	in.ensureMaps()
 	rep := &StructuralReport{}
-
-	fromA := map[*Metric]bool{}
-	for _, rm := range in.metricFrom[0] {
-		fromA[rm] = true
+	tabs := in.tables()
+	// reached marks the result nodes an operand's remap table reaches.
+	reached := func(n int, tab []int32) []bool {
+		r := make([]bool, n)
+		for _, i := range tab {
+			r[i] = true
+		}
+		return r
 	}
-	fromB := map[*Metric]bool{}
-	for _, rm := range in.metricFrom[1] {
-		fromB[rm] = true
-	}
-	for _, m := range in.out.Metrics() {
+	metrics, calls := in.out.Metrics(), in.out.CallNodes()
+	ma, mb := reached(len(metrics), tabs[0].m), reached(len(metrics), tabs[1].m)
+	for i, m := range metrics {
 		switch {
-		case fromA[m] && fromB[m]:
+		case ma[i] && mb[i]:
 			rep.SharedMetrics = append(rep.SharedMetrics, m.Path())
-		case fromA[m]:
+		case ma[i]:
 			rep.OnlyAMetrics = append(rep.OnlyAMetrics, m.Path())
 		default:
 			rep.OnlyBMetrics = append(rep.OnlyBMetrics, m.Path())
 		}
 	}
-
-	callFromA := map[*CallNode]bool{}
-	for _, rc := range in.cnodeFrom[0] {
-		callFromA[rc] = true
-	}
-	callFromB := map[*CallNode]bool{}
-	for _, rc := range in.cnodeFrom[1] {
-		callFromB[rc] = true
-	}
-	for _, c := range in.out.CallNodes() {
+	ca, cb := reached(len(calls), tabs[0].c), reached(len(calls), tabs[1].c)
+	for i, c := range calls {
 		switch {
-		case callFromA[c] && callFromB[c]:
+		case ca[i] && cb[i]:
 			rep.SharedCalls = append(rep.SharedCalls, c.Path())
-		case callFromA[c]:
+		case ca[i]:
 			rep.OnlyACalls = append(rep.OnlyACalls, c.Path())
 		default:
 			rep.OnlyBCalls = append(rep.OnlyBCalls, c.Path())

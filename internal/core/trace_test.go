@@ -38,7 +38,7 @@ func TestOperatorTraceTree(t *testing.T) {
 	a := buildSized("a", 3, 5, 4)
 	b := buildSized("b", 3, 5, 4)
 	const workers = 4
-	if _, err := Merge(a, b, &Options{Engine: EngineKernel, Workers: workers}); err != nil {
+	if _, err := Merge(a, b, &Options{Workers: workers}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -125,24 +125,6 @@ func TestOperatorTraceParent(t *testing.T) {
 	}
 	if len(collectSpans(kids[0])["materialize"]) != 1 {
 		t.Errorf("operator subtree incomplete under request span")
-	}
-}
-
-// TestOperatorTraceLegacyEngine: the legacy engine traces integrate and a
-// single legacy-combine stage.
-func TestOperatorTraceLegacyEngine(t *testing.T) {
-	tr := obs.NewTracer(obs.TracerOptions{SampleRate: 1})
-	obs.SetTracer(tr)
-	defer obs.SetTracer(nil)
-
-	a := buildSized("a", 2, 3, 2)
-	b := buildSized("b", 2, 3, 2)
-	if _, err := Sum(&Options{Engine: EngineLegacy}, a, b); err != nil {
-		t.Fatal(err)
-	}
-	spans := collectSpans(tr.Traces()[0].Root())
-	if len(spans["legacy-combine"]) != 1 || len(spans["integrate"]) != 1 {
-		t.Errorf("legacy engine spans = %v", spans)
 	}
 }
 

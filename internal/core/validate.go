@@ -33,8 +33,9 @@ func invalid(dim, format string, args ...any) error {
 //   - processes have unique ranks, threads have unique ids within their
 //     process, and every process owns at least one thread (the thread level
 //     is mandatory);
-//   - every stored severity tuple references registered metadata, and no
-//     value is NaN or infinite.
+//   - every stored severity tuple references registered metadata, no
+//     value is NaN or infinite, and the domain fits the store's packed
+//     keys (a *DomainError otherwise).
 //
 // Severities may be negative: derived difference experiments legitimately
 // contain negative values.
@@ -158,45 +159,29 @@ func (e *Experiment) Validate() error {
 		}
 	}
 
-	// Severity function. An experiment whose store is columnar-only (a
-	// kernel result or a fast-path parse) is validated off the block
-	// directly: materialising the pointer-keyed map view just to check
-	// values would cost more than the whole parse. Block keys reference
-	// enumeration indices, so "unregistered metadata" cannot arise; the
-	// single max-key guard below catches a corrupt packing (keys ascend,
-	// and the mod/div unpacking keeps the call-node and thread components
-	// in range by construction, so only the metric component can escape).
-	e.reindex()
-	if b := e.lowered; e.sev == nil && b != nil && e.loweredSevGen == e.sevGen && e.loweredMetaGen == e.metaGen {
-		if n := b.len(); n > 0 {
-			if len(e.cnodes) == 0 || len(e.threads) == 0 {
-				return invalid("severity", "severity tuples stored but the call or system dimension is empty")
-			}
-			if int(b.key[n-1]/(b.nC*b.nT)) >= len(e.metrics) {
-				return invalid("severity", "severity key out of range of the metric dimension")
-			}
-		}
-		for i, v := range b.val {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				mi, ci, ti := b.at(i)
-				return invalid("severity", "severity of (%s, %s, %s) is %v",
-					e.metrics[mi].Name, e.cnodes[ci].Path(), e.threads[ti], v)
-			}
-		}
-		return nil
+	// Severity function. Sealing reports writes it could not place
+	// (unregistered metadata, a domain too large to pack). Block keys
+	// reference enumeration indices; the max-key guard catches a corrupt
+	// ingest packing (keys ascend, and the mod/div unpacking keeps the
+	// call-node and thread components in range by construction, so only
+	// the metric component can escape).
+	b := e.sealedBlock()
+	if e.lost != nil {
+		return e.lost
 	}
-	for k, v := range e.sevMap() {
-		if _, ok := e.metricIndex[k.m]; !ok {
-			return invalid("severity", "severity refers to unregistered metric %q", k.m.Name)
+	if n := b.len(); n > 0 {
+		if len(e.cnodes) == 0 || len(e.threads) == 0 {
+			return invalid("severity", "severity tuples stored but the call or system dimension is empty")
 		}
-		if _, ok := e.cnodeIndex[k.c]; !ok {
-			return invalid("severity", "severity refers to unregistered call node %q", k.c.Path())
+		if int(b.key[n-1]/(b.nC*b.nT)) >= len(e.metrics) {
+			return invalid("severity", "severity key out of range of the metric dimension")
 		}
-		if _, ok := e.threadIndex[k.t]; !ok {
-			return invalid("severity", "severity refers to unregistered thread %q", k.t.String())
-		}
+	}
+	for i, v := range b.val {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return invalid("severity", "severity of (%s, %s, %s) is %v", k.m.Name, k.c.Path(), k.t, v)
+			mi, ci, ti := b.at(i)
+			return invalid("severity", "severity of (%s, %s, %s) is %v",
+				e.metrics[mi].Name, e.cnodes[ci].Path(), e.threads[ti], v)
 		}
 	}
 	return nil

@@ -275,7 +275,10 @@ func fastDecode(data []byte, res *scanResult) (*core.Experiment, error) {
 		}
 	}
 
-	ing := e.NewSeverityIngest()
+	ing, err := e.NewSeverityIngest()
+	if err != nil {
+		return nil, err
+	}
 	chunks := make([]sevChunk, len(res.matrices))
 	parseMatrices(data, res.matrices, chunks, miByID, ciByID, nT, ing)
 

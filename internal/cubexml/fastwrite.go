@@ -17,8 +17,8 @@ import (
 // buildDocMeta, so its bytes are the encoder's bytes by construction. The
 // severity section — the bulk of any real file — is emitted by hand from
 // the columnar store (core.EachSeverityRow): buffered writer, alloc-free
-// value formatting (appendValue), no intermediate row strings, no
-// pointer-keyed map materialisation. The two halves are joined by
+// value formatting (appendValue), no intermediate row strings. The two
+// halves are joined by
 // splicing the severity block in front of the encoder's closing </cube>
 // tag; the differential test in fastwrite_test.go pins writeFast to
 // writeLegacy byte for byte.

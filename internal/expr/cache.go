@@ -16,14 +16,11 @@ type resultKey struct {
 	opts string
 }
 
-// optsFingerprint renders the result-shaping options. Engine is included
-// conservatively: kernel and legacy results are asserted equal by the
-// property suite, but keeping their cache lines separate means a cached
-// result always came from the engine the caller asked for.
+// optsFingerprint renders the result-shaping options.
 func optsFingerprint(o *core.Options) string {
 	if o == nil {
 		o = &core.Options{}
 	}
 	return "cm=" + strconv.Itoa(int(o.CallMatch)) + ";sys=" + strconv.Itoa(int(o.System)) +
-		";machine=" + o.CollapsedMachine + ";engine=" + strconv.Itoa(int(o.Engine))
+		";machine=" + o.CollapsedMachine
 }

@@ -51,10 +51,8 @@ func NewEngine(cfg Config) *Engine {
 // Resolver supplies leaf operands: stored experiments by digest, inline
 // request operands by index. The engine only ever reads the experiments a
 // Resolver returns — operators never mutate operands — so a resolver may
-// hand out shared pre-lowered masters (the server's parse cache does) as
-// long as nothing else mutates them either. A bare-leaf root is the one
-// exception: it is compacted (CompactSeverities) before the response
-// clone, which a columnar-only master is indifferent to.
+// hand out shared masters (the server's parse cache does) as long as
+// nothing else mutates them either.
 type Resolver func(ctx context.Context, leaf Leaf) (*core.Experiment, error)
 
 // Stats reports what one evaluation did — the numbers the server folds
@@ -143,17 +141,16 @@ func (g *Engine) EvalMulti(ctx context.Context, plan *Plan, opts *core.Options, 
 
 // evalAll walks the plan in topological order (children before parents),
 // so every unique subexpression is computed exactly once and its result —
-// including its lazily built columnar lowering — is reused by every
+// including its sealed severity block — is reused by every
 // parent. It returns the compacted master of each requested root; callers
 // clone them across the ownership boundary.
 func (g *Engine) evalAll(ctx context.Context, plan *Plan, fp string, opts *core.Options, resolve Resolver, stats *Stats, roots []*Node) (map[*Node]*core.Experiment, error) {
 	// results holds each node's experiment for use as an operand of its
-	// parents. Operators never mutate their operands — severity access
-	// streams the read-only columnar lowering — so one experiment serves
-	// every parent without per-parent cloning, and an operand feeding
-	// several operators is lowered to its columnar block once. The same
-	// contract is what lets leaf resolvers hand out shared pre-lowered
-	// masters (the server's parse cache) instead of per-request clones.
+	// parents. Operators never mutate their operands, so one experiment
+	// serves every parent without per-parent cloning, and an operand
+	// feeding several operators is sealed once. The same contract is what
+	// lets leaf resolvers hand out shared sealed masters (the server's
+	// parse cache) instead of per-request clones.
 	results := make(map[*Node]*core.Experiment, len(plan.Nodes))
 	isRoot := make(map[*Node]bool, len(roots))
 	for _, r := range roots {
@@ -171,9 +168,6 @@ func (g *Engine) evalAll(ctx context.Context, plan *Plan, fp string, opts *core.
 			}
 			results[n] = e
 			if isRoot[n] {
-				// A bare-leaf root: compact so the boundary clone (and
-				// any flight waiter) takes the columnar path.
-				e.CompactSeverities()
 				masters[n] = e
 			}
 			continue
@@ -216,11 +210,9 @@ func (g *Engine) evalAll(ctx context.Context, plan *Plan, fp string, opts *core.
 		sp.End()
 		stats.Evaluated++
 		g.count("cube_expr_eval_nodes_total", 1)
-		// Compact and publish the master. Once it is visible in the
-		// cache, every request only reads it — as an operand of parent
-		// nodes, and for roots through the boundary clone its caller
-		// receives.
-		master.CompactSeverities()
+		// Publish the master. Once it is visible in the cache, every
+		// request only reads it — as an operand of parent nodes, and for
+		// roots through the boundary clone its caller receives.
 		g.cache.Add(key, master, master.ResidentBytes())
 		results[n] = master
 		if isRoot[n] {

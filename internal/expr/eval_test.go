@@ -197,8 +197,7 @@ func TestEvalSubexpressionCacheReuse(t *testing.T) {
 	}
 }
 
-// Different evaluation options must not share cache lines, and both
-// engines produce identical results.
+// Different evaluation options must not share cache lines.
 func TestEvalOptionsKeyCacheSeparately(t *testing.T) {
 	a := evalExperiment("a", 4, 8)
 	b := evalExperiment("b", 1, 2)
@@ -206,19 +205,16 @@ func TestEvalOptionsKeyCacheSeparately(t *testing.T) {
 	eng := NewEngine(Config{CacheBytes: 1 << 20})
 	plan := planFor(t, fmt.Sprintf(`{"op":"sum","args":[{"ref":%q},{"ref":%q}]}`, digestFor("a"), digestFor("b")))
 
-	k, statsK, err := eng.Eval(context.Background(), plan, &core.Options{Engine: core.EngineKernel}, store.resolver())
+	_, statsK, err := eng.Eval(context.Background(), plan, &core.Options{System: core.SystemCopyFirst}, store.resolver())
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, statsL, err := eng.Eval(context.Background(), plan, &core.Options{Engine: core.EngineLegacy}, store.resolver())
+	_, statsL, err := eng.Eval(context.Background(), plan, &core.Options{System: core.SystemCollapse}, store.resolver())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if statsK.RootCached || statsL.RootCached {
-		t.Fatal("kernel and legacy options must not share a cache line")
-	}
-	if k.Fingerprint() != l.Fingerprint() {
-		t.Fatal("kernel and legacy engines disagree")
+		t.Fatal("copy-first and collapse options must not share a cache line")
 	}
 }
 
@@ -414,9 +410,8 @@ func TestEvalMatchesSequentialProperty(t *testing.T) {
 	}
 	store := newTestStore(leaves)
 
-	engines := []core.Engine{core.EngineKernel, core.EngineLegacy}
 	for iter := 0; iter < 25; iter++ {
-		opts := &core.Options{Engine: engines[iter%len(engines)]}
+		opts := &core.Options{}
 		src, want, err := randomDAG(r, leaves, names, 3, opts)
 		if err != nil {
 			t.Fatalf("iter %d: sequential composition: %v", iter, err)
@@ -432,8 +427,8 @@ func TestEvalMatchesSequentialProperty(t *testing.T) {
 				t.Fatalf("iter %d run %d: %v", iter, run, err)
 			}
 			if got.Fingerprint() != want.Fingerprint() {
-				t.Fatalf("iter %d run %d (%v): DAG result differs from sequential composition\nsrc: %s",
-					iter, run, opts.Engine, src)
+				t.Fatalf("iter %d run %d: DAG result differs from sequential composition\nsrc: %s",
+					iter, run, src)
 			}
 		}
 	}

@@ -75,7 +75,7 @@ type EventFields struct {
 	MetaIdentity     int `json:"meta_identity,omitempty"`      // integrations served by the identity fast path (all operand digests equal)
 	MetaMemoHits     int `json:"meta_memo_hits,omitempty"`     // integrations served from the integration memo
 	MetaMemoMisses   int `json:"meta_memo_misses,omitempty"`   // digest-eligible integrations that missed the memo
-	LowerCacheHits   int `json:"lower_cache_hits,omitempty"`   // operands served as shared pre-lowered masters
+	LowerCacheHits   int `json:"lower_cache_hits,omitempty"`   // operands served as shared sealed masters
 	LowerCacheMisses int `json:"lower_cache_misses,omitempty"` // operands that had to be cloned / lowered per request
 
 	// Kernel execution.
@@ -483,9 +483,9 @@ func (e *Event) AddMetaFastpath(kind string) {
 	})
 }
 
-// LowerCache attributes one lowered-block reuse decision: whether an
-// operand was served as a shared pre-lowered master (hit) or required a
-// per-request clone (miss).
+// LowerCache attributes one sealed-block reuse decision: whether an
+// operand was served as a shared master already in the parse cache (hit)
+// or had to be parsed for this request (miss).
 func (e *Event) LowerCache(hit bool) {
 	e.set(func(f *EventFields) {
 		if hit {

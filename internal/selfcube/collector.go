@@ -175,7 +175,10 @@ func (c *Collector) Collect(seq uint64, at time.Time) (*core.Experiment, error) 
 	// Install the severities through the columnar path. Construction above
 	// guarantees uniqueness per (metric, call node): each registry series
 	// maps to exactly one metric node, each taxonomy node appears once.
-	ing := e.NewSeverityIngest()
+	ing, err := e.NewSeverityIngest()
+	if err != nil {
+		return nil, err
+	}
 	keys := make([]uint64, 0, len(cells))
 	vals := make([]float64, 0, len(cells))
 	for _, cl := range cells {

@@ -21,10 +21,10 @@ import (
 // (a - b, then mean(a, c), then a view of a), so the same bytes arrive over
 // and over.
 //
-// Masters in the cache are compacted to their columnar severity store and
-// handed out shared, strictly read-only: operators never mutate operands,
-// and handlers that need a private copy clone it (two flat array copies
-// plus a metadata walk — no parsing, no per-tuple allocation). Concurrent
+// Masters in the cache are sealed (core.Experiment.CompactSeverities)
+// before anyone sees them and handed out shared: a sealed experiment is
+// immutable under reads, operators never mutate operands, and the
+// display and report code only reads. Concurrent
 // misses on the same key load and parse once; the rest wait and share the
 // result or the error. The cache holds at most budget bytes of operand
 // input, evicting least-recently-used entries; an operand larger than the
@@ -43,13 +43,10 @@ type parseCache struct {
 // parsed is one cached master.
 type parsed struct {
 	e *core.Experiment
-	// meta is e's metadata digest, recorded at ingest so lowered-block
+	// meta is e's metadata digest, recorded at ingest so sealed-block
 	// reuse across requests is keyed by (content digest, metadata digest)
 	// without re-walking the forests on every request.
 	meta [sha256.Size]byte
-	// shared reports whether e is columnar-only, i.e. its lowered
-	// severity block may be handed to read-only consumers without a copy.
-	shared bool
 }
 
 func newParseCache(budget int64, lim cubexml.Limits, engine cubexml.ReadEngine, reg *obs.Registry) *parseCache {
@@ -72,10 +69,9 @@ func bytesLoader(data []byte) func() ([]byte, error) {
 	return func() ([]byte, error) { return data, nil }
 }
 
-// shared returns the cached master for content digest d when it is
-// columnar-only — zero-copy reuse of its already-lowered severity block —
-// falling back to a private clone otherwise. load supplies the bytes on a
-// miss. The caller must treat the result as strictly read-only.
+// shared returns the cached master for content digest d — zero-copy reuse
+// of its sealed severity block. load supplies the bytes on a miss. The
+// caller must treat the result as strictly read-only.
 func (pc *parseCache) shared(ctx context.Context, d store.Digest, load func() ([]byte, error)) (*core.Experiment, error) {
 	ent, outcome, err := pc.parse(ctx, d, load)
 	if err != nil {
@@ -85,19 +81,14 @@ func (pc *parseCache) shared(ctx context.Context, d store.Digest, load func() ([
 	// serves the master's columnar block outright instead of copying it.
 	// The first parse necessarily builds the block, so it counts as the
 	// miss that populates the cache.
-	hit := ent.shared && outcome != lru.Miss
+	hit := outcome != lru.Miss
 	if hit {
 		pc.count("cube_lower_cache_hits_total")
 	} else {
 		pc.count("cube_lower_cache_misses_total")
 	}
 	obs.EventFromContext(ctx).LowerCache(hit)
-	if ent.shared {
-		return ent.e, nil
-	}
-	// Cloning is pure reads on the master, so concurrent resolves of the
-	// same entry may proceed in parallel.
-	return ent.e.Clone(), nil
+	return ent.e, nil
 }
 
 // parse returns the cached master for content digest d. On a miss it
@@ -115,10 +106,11 @@ func (pc *parseCache) parse(ctx context.Context, d store.Digest, load func() ([]
 		if err != nil {
 			return parsed{}, 0, err
 		}
-		// Compact to the columnar store and record the metadata digest
-		// before the master becomes visible to anyone: from here on,
-		// every consumer only ever reads it.
-		return parsed{e: master, shared: master.CompactSeverities(), meta: master.MetaDigest()}, int64(len(data)), nil
+		// Seal the severities and record the metadata digest before the
+		// master becomes visible to anyone: from here on, every consumer
+		// only ever reads it.
+		master.CompactSeverities()
+		return parsed{e: master, meta: master.MetaDigest()}, int64(len(data)), nil
 	})
 	if outcome != lru.Miss && err == nil {
 		pc.count("cube_parse_cache_hits_total")

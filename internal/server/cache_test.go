@@ -84,7 +84,7 @@ func startFlight(pc *parseCache, key store.Digest, e *core.Experiment, err error
 		pc.lru.Do(key, func() (parsed, int64, error) {
 			close(started)
 			<-release
-			return parsed{e: e, shared: e != nil}, 1, err
+			return parsed{e: e}, 1, err
 		})
 	}()
 	<-started

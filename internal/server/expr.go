@@ -196,7 +196,7 @@ func (s *service) planExpr(src []byte, operands []exprOperand) (*expr.Plan, erro
 // store only on a miss (pinned into *pinned for the caller to release).
 // Both come back as the cache's shared masters: operators never mutate
 // operands, so a repeat request over the same content digest reuses the
-// cached master's lowered columnar block outright instead of copying it
+// cached master's sealed severity block outright instead of copying it
 // (counted as cube_lower_cache_hits_total).
 func (s *service) exprResolver(operands []exprOperand, pinned *[]store.Digest) expr.Resolver {
 	return func(ctx context.Context, leaf expr.Leaf) (*core.Experiment, error) {
@@ -288,8 +288,7 @@ func (s *service) unpin(pinned *[]store.Digest) {
 
 // resolveOperands reads the request's ordered "operand" parts and
 // resolves each exactly as an expression leaf. The experiments are the
-// parse cache's shared masters: callers only read them, or clone them
-// first. Store pins are held until every operand has resolved.
+// parse cache's shared masters: callers only read them. Store pins are held until every operand has resolved.
 func (s *service) resolveOperands(r *http.Request) ([]*core.Experiment, error) {
 	if err := r.ParseMultipartForm(8 << 20); err != nil {
 		return nil, fmt.Errorf("parsing multipart form: %w", err)
@@ -398,7 +397,8 @@ func (s *service) readOperandParts(r *http.Request) ([]exprOperand, error) {
 
 // exprError maps an expression or operand error onto a status: 400 for
 // structural expression errors, 404 for an unknown /op operator or a
-// digest the store does not hold, 413 for size-guard violations,
+// digest the store does not hold, 413 for size-guard violations and
+// domains too large for the severity store (core.DomainError),
 // otherwise the phase default (400 while reading the request, 422 once
 // evaluation started).
 func (s *service) exprError(w http.ResponseWriter, r *http.Request, err error, fallback int) {
@@ -409,13 +409,14 @@ func (s *service) exprError(w http.ResponseWriter, r *http.Request, err error, f
 	var pe *expr.ParseError
 	var miss *storeMissError
 	var mbe *http.MaxBytesError
+	var de *core.DomainError
 	switch {
 	case errors.As(err, &pe):
 		code = http.StatusBadRequest
 	case errors.As(err, &miss), errors.Is(err, expr.ErrUnknownOp):
 		code = http.StatusNotFound
 	case errors.As(err, &mbe), errors.Is(err, errTooLarge), errors.Is(err, cubexml.ErrLimit),
-		strings.Contains(err.Error(), "request body too large"):
+		errors.As(err, &de), strings.Contains(err.Error(), "request body too large"):
 		code = http.StatusRequestEntityTooLarge
 	}
 	httpError(w, r, code, "%v", err)

@@ -402,3 +402,16 @@ func TestExprBareLeaf(t *testing.T) {
 		t.Error("bare digest leaf did not round-trip the stored experiment")
 	}
 }
+
+// TestDomainErrorIs413: an operand or result domain too large for the
+// severity store's packed keys is a size violation, answered 413 like
+// the other size guards rather than a 500.
+func TestDomainErrorIs413(t *testing.T) {
+	s := &service{}
+	rec := httptest.NewRecorder()
+	err := fmt.Errorf("expr: applying sum: %w", &core.DomainError{Metrics: 1 << 22, CallNodes: 1 << 21, Threads: 1 << 21})
+	s.exprError(rec, httptest.NewRequest(http.MethodPost, "/op/sum", nil), err, http.StatusUnprocessableEntity)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413", rec.Code)
+	}
+}

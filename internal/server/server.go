@@ -219,7 +219,7 @@ func NewHandler(cfg *Config) http.Handler {
 }
 
 func (s *service) handleReport(w http.ResponseWriter, r *http.Request) {
-	operands, ok := s.privateOperands(w, r)
+	operands, ok := s.sharedOperands(w, r)
 	if !ok {
 		return
 	}
@@ -421,23 +421,21 @@ func (s *service) handleOp(w http.ResponseWriter, r *http.Request) {
 	s.writeExperiment(w, r, result)
 }
 
-// privateOperands resolves the request's operands into clones the
-// handler owns: the display code's map accessors may build an
-// experiment's severity map lazily, which a shared master must never see.
-func (s *service) privateOperands(w http.ResponseWriter, r *http.Request) ([]*core.Experiment, bool) {
+// sharedOperands resolves the request's operands, answering the error
+// itself. They may be the parse cache's shared masters: sealed
+// experiments, which the read-only display and report code reads
+// directly.
+func (s *service) sharedOperands(w http.ResponseWriter, r *http.Request) ([]*core.Experiment, bool) {
 	operands, err := s.resolveOperands(r)
 	if err != nil {
 		s.exprError(w, r, err, http.StatusBadRequest)
 		return nil, false
 	}
-	for i, e := range operands {
-		operands[i] = e.Clone()
-	}
 	return operands, true
 }
 
 func (s *service) handleView(w http.ResponseWriter, r *http.Request) {
-	operands, ok := s.privateOperands(w, r)
+	operands, ok := s.sharedOperands(w, r)
 	if !ok {
 		return
 	}
@@ -501,7 +499,7 @@ func (s *service) handleView(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *service) handleInfo(w http.ResponseWriter, r *http.Request) {
-	operands, ok := s.privateOperands(w, r)
+	operands, ok := s.sharedOperands(w, r)
 	if !ok {
 		return
 	}

@@ -63,13 +63,6 @@ func TestConcurrentRoutesShareMasters(t *testing.T) {
 		{"/op/scale?factor=2", `{"op":"scale","factor":2,"args":[%s]}`, 1, must(core.Scale(x[0], 2, nil))},
 	}
 
-	// AlmostEqual enumerates and lowers an experiment lazily on first use.
-	// Do that for the shared references now, so the concurrent checks
-	// below only read them.
-	for _, op := range ops {
-		op.want.CompactSeverities()
-	}
-
 	srv, _ := newStoreServer(t, nil, store.Options{})
 	digests := make([]string, 2)
 	for i, doc := range docs {
