@@ -8,6 +8,12 @@
 //     schema check (obs.ValidateEvent),
 //   - the exactly-one-http-event-per-request invariant holds, with
 //     distinct request IDs,
+//   - every http event's leaf-stage times sum to at most its duration_ms,
+//     and with tracing off the inline /op/difference event still carries
+//     parse and accumulate times,
+//   - a digest op answered from the parse cache pins its blobs without
+//     reading the store, and one on a fresh server (empty cache) reads
+//     them,
 //   - client calls and store lifecycle transitions are present as their
 //     own event kinds in the same ring,
 //   - /debug/slo burn rates agree with recomputing the SLO arithmetic
@@ -66,7 +72,8 @@ func run() error {
 	cfg.Events = sink
 	cfg.Store = st
 	cfg.SLOAvailability = 0.999
-	cfg.SLOLatency = time.Nanosecond // every request is "slow" on purpose
+	cfg.SLOLatency = time.Nanosecond          // every request is "slow" on purpose
+	cfg.TraceSampleRate, cfg.TraceSlow = 0, 0 // stage times must not need traces
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -75,7 +82,8 @@ func run() error {
 	defer obs.SetEventSink(nil)
 
 	// Traffic: 1 inline op, 2 store puts, 1 digest-referenced op, one
-	// 404, one 422 — six HTTP requests, five typed-client calls. None of
+	// 404, one 422, and 1 digest-referenced op on a fresh server over the
+	// same store — seven HTTP requests, six typed-client calls. None of
 	// these retry, so the event arithmetic below is exact.
 	ctx := context.Background()
 	cl := client.New(srv.URL)
@@ -105,7 +113,15 @@ func run() error {
 	if _, err := cl.Prune(ctx, a, "NoSuchMetric", 0.5); err == nil {
 		return fmt.Errorf("prune of unknown metric succeeded, want 422")
 	}
-	const wantHTTP, wantClient = 6, 5
+	// A fresh server's parse cache holds neither blob, so its digest op
+	// reads both from the store. It shares the sink and the registry, so
+	// its events land in the same ring.
+	fresh := httptest.NewServer(server.NewHandler(cfg))
+	defer fresh.Close()
+	if _, err := client.New(fresh.URL).DifferenceByDigest(ctx, da, db, nil); err != nil {
+		return fmt.Errorf("digest difference on a fresh server: %w", err)
+	}
+	const wantHTTP, wantClient = 7, 6
 
 	// Events emit after the response flushes; wait for the last one.
 	deadline := time.Now().Add(5 * time.Second)
@@ -141,6 +157,7 @@ func checkEvents(base string, wantHTTP, wantClient int) error {
 	}
 	kinds := map[string]int{}
 	ids := map[string]bool{}
+	var diffs []obs.EventFields // the /op/difference events, in order
 	lines := 0
 	sc := bufio.NewScanner(resp.Body)
 	for sc.Scan() {
@@ -158,6 +175,14 @@ func checkEvents(base string, wantHTTP, wantClient int) error {
 				return fmt.Errorf("duplicate http request_id %q", f.RequestID)
 			}
 			ids[f.RequestID] = true
+			// Leaf stages never nest, so they fit in the request.
+			if f.StageMS() > f.DurationMS+1e-6 {
+				return fmt.Errorf("%s event: leaf stages sum to %g ms, more than duration_ms %g\n%s",
+					f.Route, f.StageMS(), f.DurationMS, sc.Text())
+			}
+			if f.Route == "/op/{op}" && f.Op == "difference" {
+				diffs = append(diffs, f)
+			}
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -171,6 +196,29 @@ func checkEvents(base string, wantHTTP, wantClient int) error {
 	}
 	if kinds["store"] == 0 {
 		return fmt.Errorf("no store lifecycle events in the ring; kinds = %v", kinds)
+	}
+	return checkDifferenceEvents(diffs)
+}
+
+// checkDifferenceEvents checks the three /op/difference events: the
+// inline one (stage times with tracing off), the cache-answered digest
+// one and the fresh server's digest one (store reads).
+func checkDifferenceEvents(diffs []obs.EventFields) error {
+	if len(diffs) != 3 {
+		return fmt.Errorf("%d /op/difference events, want 3 (inline, digest, fresh-server digest)", len(diffs))
+	}
+	inline, cached, fresh := diffs[0], diffs[1], diffs[2]
+	if inline.InlineOperands != 2 || inline.ParseMS <= 0 || inline.AccumulateMS <= 0 {
+		return fmt.Errorf("inline difference event: inline_operands %d, parse_ms %g, accumulate_ms %g; want 2 and nonzero times at trace sample 0",
+			inline.InlineOperands, inline.ParseMS, inline.AccumulateMS)
+	}
+	if cached.DigestOperands != 2 || cached.StorePins < 1 || cached.ParseCacheHits < 1 || cached.StoreGets != 0 {
+		return fmt.Errorf("cached digest difference event: store_pins %d, parse_cache_hits %d, store_gets %d; want >=1, >=1, 0",
+			cached.StorePins, cached.ParseCacheHits, cached.StoreGets)
+	}
+	if fresh.DigestOperands != 2 || fresh.StoreGets < 1 || fresh.ParseCacheMisses < 1 || fresh.ResolveMS <= 0 {
+		return fmt.Errorf("fresh-server digest difference event: store_gets %d, parse_cache_misses %d, resolve_ms %g; want >=1, >=1, > 0",
+			fresh.StoreGets, fresh.ParseCacheMisses, fresh.ResolveMS)
 	}
 	return nil
 }
@@ -223,7 +271,8 @@ func checkSLO(base string) error {
 }
 
 // checkStore matches the inventory against the traffic: two distinct
-// documents were put, and the digest-referenced op read them back.
+// documents were put, and the fresh server's digest op read them back
+// (the first digest op was answered from the parse cache).
 func checkStore(base string) error {
 	var doc struct {
 		Enabled bool  `json:"enabled"`

@@ -7,8 +7,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 
-	"cube/internal/core"
-	"cube/internal/cubexml"
 	"cube/internal/obs"
 )
 
@@ -22,7 +20,7 @@ import (
 //
 // Register the flags with NewProfile before flag.Parse, then call Start
 // after it and the returned stop function on the success path. -stats
-// points core.Instrument and cubexml.Instrument at obs.Default, so the
+// points the stage table's registry seam (obs.SetRegistry) at obs.Default, so the
 // dump shows exactly what the algebra did: operator invocations and wall
 // time, severity cells produced, zero-fill expansion, and XML bytes
 // parsed/written. -trace installs a process-wide always-sample tracer and
@@ -69,8 +67,7 @@ func (p *Profile) Event() *obs.Event { return p.event }
 func (p *Profile) Start(tool string) (stop func(), err error) {
 	p.tool = tool
 	if *p.stats {
-		core.Instrument(obs.Default)
-		cubexml.Instrument(obs.Default)
+		obs.SetRegistry(obs.Default)
 	}
 	if *p.trace != "" {
 		// Sample everything: a CLI run traces a handful of operator

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file implements structural operators beyond the paper's three
 // arithmetic ones ("others may follow in the future"): the flat-profile
@@ -78,19 +81,29 @@ func ExtractMetrics(x *Experiment, paths ...string) (*Experiment, error) {
 	out := in.out
 	in.tables() // index the integrated domain before restructuring it
 
-	keep := map[*Metric]bool{}
-	var newRoots []*Metric
+	// A path inside another requested path's subtree is covered by it:
+	// each subtree becomes one root, in the order of its first mention,
+	// whatever order the paths come in.
+	var requested, newRoots []*Metric
 	for _, p := range paths {
 		m := out.FindMetric(p)
 		if m == nil {
 			return nil, fmt.Errorf("core: metric %q not found", p)
 		}
-		if keep[m] {
-			continue
+		requested = append(requested, m)
+	}
+	for _, m := range requested {
+		for a := m.parent; a != nil; a = a.parent {
+			if slices.Contains(requested, a) {
+				m = a
+			}
 		}
-		m.Walk(func(d *Metric) { keep[d] = true })
+		if !slices.Contains(newRoots, m) {
+			newRoots = append(newRoots, m)
+		}
+	}
+	for _, m := range newRoots {
 		m.parent = nil
-		newRoots = append(newRoots, m)
 	}
 	metrics := out.Metrics()
 	out.metricRoots = newRoots

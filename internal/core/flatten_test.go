@@ -190,3 +190,37 @@ func TestFlattenPreservesSystemAndMetrics(t *testing.T) {
 		}
 	}
 }
+
+// TestExtractMetricsOverlappingPaths extracts a metric together with its
+// ancestor, in both orders: the ancestor's subtree covers the descendant,
+// so each result holds it once, validates, and the two orders agree.
+func TestExtractMetricsOverlappingPaths(t *testing.T) {
+	e := buildSmall("x")
+	for _, paths := range [][]string{
+		{"Time/Comm", "Time"},
+		{"Time", "Time/Comm"},
+		{"Time/Comm/Wait", "Visits", "Time/Comm", "Time/Comm/Wait"},
+	} {
+		got, err := ExtractMetrics(e, paths...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := got.Validate(); err != nil {
+			t.Errorf("ExtractMetrics(%q): %v", paths, err)
+		}
+	}
+	a, err := ExtractMetrics(e, "Time/Comm", "Time")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ExtractMetrics(e, "Time", "Time/Comm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !AlmostEqual(a, b, 0) {
+		t.Error("ExtractMetrics depends on the order of overlapping paths")
+	}
+	if len(a.MetricRoots()) != 1 || a.MetricTotal(a.MetricRoots()[0]) != e.MetricTotal(e.FindMetric("Time")) {
+		t.Errorf("extract(Time/Comm, Time) roots = %d, want the Time tree alone", len(a.MetricRoots()))
+	}
+}

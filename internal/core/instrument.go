@@ -1,13 +1,12 @@
 package core
 
-import (
-	"sync/atomic"
-	"time"
+import "cube/internal/obs"
 
-	"cube/internal/obs"
-)
-
-// Operator instrumentation. The algebra records, per operator invocation:
+// Operator instrumentation. The algebra records through the stage table
+// of internal/obs (obs.Ops, obs.Integrate, obs.Lower, obs.Accumulate,
+// obs.Materialize), which feeds the process-wide registry
+// (obs.SetRegistry), the trace span under Options.Trace and the wide
+// event in Options.Event with one call each. Per operator invocation:
 //
 //	cube_op_invocations_total{op}   how often each operator ran
 //	cube_op_errors_total{op}        failed invocations
@@ -15,11 +14,20 @@ import (
 //	cube_op_cells_total{op}         severity cells written to results
 //	cube_op_zero_fill_ratio{op}     zero-extension overhead (see below)
 //
-// and per metadata integration:
+// per metadata integration:
 //
 //	cube_integrate_invocations_total
 //	cube_integrate_input_nodes_total{dim}   metadata nodes consumed
 //	cube_integrate_output_nodes_total{dim}  metadata nodes produced
+//	cube_meta_fastpath_total{kind}          identity | memo | miss
+//	cube_meta_memo_hits_total, cube_meta_memo_misses_total
+//
+// and per kernel plan:
+//
+//	cube_kernel_stage_seconds{stage}  wall time of lower/accumulate/materialize
+//	cube_kernel_shards_total          shards worked (with invocations: avg width)
+//	cube_kernel_tuples_total          operand tuples consumed by kernels
+//	cube_kernel_invocations_total     kernel plans executed
 //
 // The zero-fill expansion ratio captures the cost of the algebra's
 // zero-extension step: every operand's severity function is extended with
@@ -29,249 +37,105 @@ import (
 // case) tells how much work is spent on implicit zeros — the number that
 // decides whether sparse iteration is paying off.
 //
-// Instrumentation is process-global and off by default: Instrument(nil)
-// (the initial state) makes startOp return a nil recorder and the
-// per-invocation cost collapses to one atomic pointer load. Costs are
-// aggregated locally and published once per invocation — never per cell —
-// so the hot loops stay free of atomic traffic.
+// With no registry, tracer or event installed a stage costs the loads of
+// those seams. Costs are aggregated locally and published once per stage —
+// never per cell — so the hot loops stay free of atomic traffic.
 
-var opRegistry atomic.Pointer[obs.Registry]
-
-// Instrument directs operator and integration metrics into reg; nil
-// disables instrumentation (the default). The setting is process-wide:
-// the algebra is a library, and every caller (HTTP service, CLI, test)
-// that wants operator telemetry shares one seam.
-func Instrument(reg *obs.Registry) {
-	opRegistry.Store(reg)
-}
-
-// Instrumented reports whether operator metrics are currently recorded.
-func Instrumented() bool { return opRegistry.Load() != nil }
-
-// opRecorder carries one invocation's bookkeeping from startOp to done.
-// A nil *opRecorder (instrumentation and tracing both disabled) makes
-// every method a no-op. Either side may be active alone: reg drives the
-// aggregate metrics, span the per-invocation trace tree.
-type opRecorder struct {
-	reg      *obs.Registry
-	span     *obs.Span
-	ev       *obs.Event
-	op       string
-	start    time.Time
-	inCells  int
-	operands int
-}
-
-// startOp begins recording one operator invocation over the operands.
-// The trace span parents under opts.Trace when the caller (the HTTP
-// service) carries one, else opens a root trace on the process tracer
-// (obs.SetTracer — the CLIs' -trace flag); with neither, tracing costs
-// one atomic pointer load. The wide event (opts.Event) rides the same
-// recorder: operator name now, kernel attribution as the plan runs.
-func startOp(op string, opts *Options, operands []*Experiment) *opRecorder {
-	reg := opRegistry.Load()
-	span := startOpSpan(op, opts)
-	var ev *obs.Event
-	if opts != nil {
-		ev = opts.Event
-	}
-	if reg == nil && span == nil && ev == nil {
+func (o *Options) event() *obs.Event {
+	if o == nil {
 		return nil
 	}
-	ev.SetOp(op)
-	rec := &opRecorder{reg: reg, span: span, ev: ev, op: op, start: time.Now(), operands: len(operands)}
-	for _, x := range operands {
-		if x != nil {
-			rec.inCells += x.NonZeroCount()
-		}
-	}
-	span.SetAttr("operands", rec.operands)
-	span.SetAttr("cells_in", rec.inCells)
-	return rec
+	return o.Event
 }
 
-func startOpSpan(op string, opts *Options) *obs.Span {
-	if opts != nil && opts.Trace != nil {
-		return opts.Trace.StartChild("op." + op)
-	}
-	if t := obs.ActiveTracer(); t != nil {
-		return t.StartTrace("op."+op, "")
-	}
-	return nil
-}
-
-// opSpan returns the invocation's trace span (nil when untraced), the
-// parent for the stage spans the kernel plan opens.
-func (rec *opRecorder) opSpan() *obs.Span {
-	if rec == nil {
-		return nil
-	}
-	return rec.span
-}
-
-// child opens a stage span under the invocation's span; nil when untraced.
-func (rec *opRecorder) child(name string) *obs.Span {
-	return rec.opSpan().StartChild(name)
-}
-
-// fail records an invocation that returned an error.
-func (rec *opRecorder) fail() {
-	if rec == nil {
-		return
-	}
-	if rec.reg != nil {
-		rec.reg.Counter("cube_op_errors_total", obs.L("op", rec.op)).Inc()
-	}
-	if rec.span != nil {
-		rec.span.SetAttr("error", true)
-		rec.span.End()
-	}
-}
-
-// done records a successful invocation that produced out.
-func (rec *opRecorder) done(out *Experiment) {
-	if rec == nil {
-		return
-	}
-	outCells := out.NonZeroCount()
-	if rec.reg != nil {
-		op := obs.L("op", rec.op)
-		rec.reg.Counter("cube_op_invocations_total", op).Inc()
-		// The duration observation carries the trace ID (when traced) as
-		// its exemplar, so a histogram outlier links to /debug/traces.
-		rec.reg.Histogram("cube_op_duration_seconds", obs.DefLatencyBuckets, op).
-			ObserveExemplar(time.Since(rec.start).Seconds(), rec.span.TraceID())
-		rec.reg.Counter("cube_op_cells_total", op).Add(int64(outCells))
-		if rec.inCells > 0 {
-			ratio := float64(outCells*rec.operands) / float64(rec.inCells)
-			rec.reg.Histogram("cube_op_zero_fill_ratio", obs.DefRatioBuckets, op).Observe(ratio)
-		}
-	}
-	if rec.span != nil {
-		rec.span.SetAttr("cells_out", outCells)
-		rec.span.End()
-	}
-	rec.ev.AddKernelCells(int64(outCells))
-}
-
-// tracedIntegrate wraps integrate in the invocation's "integrate" span,
-// annotated with the size of the merged metadata and which fast path (if
-// any) produced it.
-func tracedIntegrate(rec *opRecorder, opts *Options, operands []*Experiment) (*integration, error) {
-	sp := rec.child("integrate")
-	in, err := integrate(opts, operands...)
-	if sp != nil {
-		if err == nil {
-			// Enumeration lengths, not mapping sizes: the digest fast
-			// paths never build the pointer maps the old counts read.
-			sp.SetAttr("metrics", len(in.out.Metrics()))
-			sp.SetAttr("callnodes", len(in.out.CallNodes()))
-			sp.SetAttr("fastpath", in.fastpathLabel())
-		}
-		sp.End()
-	}
-	return in, err
-}
-
-// recordMetaFastpath publishes which integrate path served an invocation —
-// to the metrics registry and to the request's wide event when one rides
-// the options.
-func recordMetaFastpath(opts *Options, kind string) {
+// runOp is one operator invocation: the operator stage around the
+// integrate stage, the kernel plan (run) and the result's provenance.
+func runOp(name string, opts *Options, operands []*Experiment, run func(*kernelPlan)) (*Experiment, error) {
+	op := obs.Ops[name]
+	var parent *obs.Span
 	if opts != nil {
-		opts.Event.AddMetaFastpath(kind)
+		parent = opts.Trace
 	}
-	if reg := opRegistry.Load(); reg != nil {
-		reg.Counter("cube_meta_fastpath_total", obs.L("kind", kind)).Inc()
-	}
-}
-
-// Kernel-layer instrumentation (kernel.go). Each operator invocation on the
-// kernel engine additionally records:
-//
-//	cube_kernel_stage_seconds{stage}  wall time of lower/accumulate/materialize
-//	cube_kernel_shards_total          shards worked (with invocations: avg width)
-//	cube_kernel_tuples_total          operand tuples consumed by kernels
-//	cube_kernel_invocations_total     kernel plans executed
-//
-// Stage timers follow the same discipline as the operator metrics: with
-// instrumentation disabled the cost is one atomic pointer load per stage.
-
-// kernelStage carries one stage's start time; the zero reg means disabled.
-type kernelStage struct {
-	reg   *obs.Registry
-	start time.Time
-}
-
-func startKernelStage() kernelStage {
-	reg := opRegistry.Load()
-	if reg == nil {
-		return kernelStage{}
-	}
-	return kernelStage{reg: reg, start: time.Now()}
-}
-
-func (s kernelStage) done(stage string) {
-	if s.reg == nil {
-		return
-	}
-	s.reg.Histogram("cube_kernel_stage_seconds", obs.DefLatencyBuckets, obs.L("stage", stage)).Observe(time.Since(s.start).Seconds())
-}
-
-// recordKernelPlan publishes the shape of one kernel execution — to the
-// metrics registry and to the invocation's wide event when one rides the
-// plan.
-func recordKernelPlan(p *kernelPlan) {
-	p.event.AddKernelPlan(p.shards, int64(p.total))
-	reg := opRegistry.Load()
-	if reg == nil {
-		return
-	}
-	reg.Counter("cube_kernel_invocations_total").Inc()
-	reg.Counter("cube_kernel_shards_total").Add(int64(p.shards))
-	reg.Counter("cube_kernel_tuples_total").Add(int64(p.total))
-}
-
-// recordIntegration publishes the metadata node-merge statistics of one
-// integration: how many metric/call/thread nodes went in across all
-// operands and how many distinct nodes the merged result has. The gap
-// between the two is the structural overlap the merge discovered.
-func recordIntegration(in *integration, operands []*Experiment) {
-	reg := opRegistry.Load()
-	if reg == nil {
-		return
-	}
-	// Input sizes from the operands' enumerations (one entry per operand
-	// node, exactly what the mapping sizes used to count), output sizes
-	// from plain forest walks — the digest fast paths build neither the
-	// pointer maps nor the source attribution this used to read, and
-	// walking avoids eagerly building the result's index caches.
-	var inMetrics, inCNodes, inThreads int
-	for _, x := range operands {
-		x.reindex()
-		inMetrics += len(x.metrics)
-		inCNodes += len(x.cnodes)
-		inThreads += len(x.threads)
-	}
-	var outMetrics, outCNodes, outThreads int
-	for _, r := range in.out.metricRoots {
-		r.Walk(func(*Metric) { outMetrics++ })
-	}
-	for _, r := range in.out.callRoots {
-		r.Walk(func(*CallNode) { outCNodes++ })
-	}
-	for _, mach := range in.out.machines {
-		for _, nd := range mach.Nodes() {
-			for _, p := range nd.Processes() {
-				outThreads += len(p.Threads())
+	st := obs.BeginIn(parent, opts.event(), op.StageDef)
+	st.Event().SetOp(name)
+	inCells := 0
+	if st.On() {
+		for _, x := range operands {
+			if x != nil {
+				inCells += x.NonZeroCount()
 			}
 		}
 	}
-	reg.Counter("cube_integrate_invocations_total").Inc()
-	dimMetric, dimCNode, dimThread := obs.L("dim", "metric"), obs.L("dim", "callnode"), obs.L("dim", "thread")
-	reg.Counter("cube_integrate_input_nodes_total", dimMetric).Add(int64(inMetrics))
-	reg.Counter("cube_integrate_input_nodes_total", dimCNode).Add(int64(inCNodes))
-	reg.Counter("cube_integrate_input_nodes_total", dimThread).Add(int64(inThreads))
-	reg.Counter("cube_integrate_output_nodes_total", dimMetric).Add(int64(outMetrics))
-	reg.Counter("cube_integrate_output_nodes_total", dimCNode).Add(int64(outCNodes))
-	reg.Counter("cube_integrate_output_nodes_total", dimThread).Add(int64(outThreads))
+	if sp := st.Span(); sp != nil {
+		sp.SetAttr("operands", len(operands))
+		sp.SetAttr("cells_in", inCells)
+	}
+	in, err := integrateUnder(st.Span(), opts, operands)
+	if err != nil {
+		st.Count(op.Errors, 1)
+		st.End(err)
+		return nil, err
+	}
+	run(newKernelPlan(in, opts, operands, st.Span()))
+	deriveProvenance(in, name, operands)
+	if st.On() {
+		outCells := in.out.NonZeroCount()
+		st.Count(op.Calls, 1)
+		st.Count(op.Cells, int64(outCells))
+		if inCells > 0 {
+			st.Observe(op.ZeroFill, float64(outCells*len(operands))/float64(inCells))
+		}
+		if sp := st.Span(); sp != nil {
+			sp.SetAttr("cells_out", outCells)
+		}
+	}
+	st.End(nil)
+	return in.out, nil
+}
+
+// integrateUnder is integrate as a stage under the operator span parent:
+// it records which fast path served the integration and how many metadata
+// nodes went in and came out. The gap between the two is the structural
+// overlap the merge discovered.
+func integrateUnder(parent *obs.Span, opts *Options, operands []*Experiment) (*integration, error) {
+	st := obs.BeginIn(parent, opts.event(), obs.Integrate)
+	in, err := integrateAny(opts, operands)
+	if err == nil {
+		in.out.reindex()
+		err = in.out.domainError()
+	}
+	if err != nil || !st.On() {
+		st.End(err)
+		return in, err
+	}
+	switch {
+	case in.fastpath == fastpathIdentity:
+		st.Count(obs.FastpathIdentity, 1)
+	case in.fastpath == fastpathMemo:
+		st.Count(obs.FastpathMemo, 1)
+		st.Count(obs.MemoHits, 1)
+	case in.fastpath == fastpathMiss:
+		st.Count(obs.FastpathMiss, 1)
+		st.Count(obs.MemoMisses, 1)
+	case len(operands) >= 2 && !metaFastpathOff.Load():
+		st.Count(obs.FastpathMiss, 1) // digest-eligible, memo disabled
+	}
+	for _, x := range operands {
+		x.reindex()
+		for i, n := range [3]int{len(x.metrics), len(x.cnodes), len(x.threads)} {
+			st.Count(obs.IntegrateInputNodes[i], int64(n))
+		}
+	}
+	out := in.out
+	st.Count(obs.IntegrateCalls, 1)
+	for i, n := range [3]int{len(out.metrics), len(out.cnodes), len(out.threads)} {
+		st.Count(obs.IntegrateOutputNodes[i], int64(n))
+	}
+	if sp := st.Span(); sp != nil {
+		sp.SetAttr("metrics", len(out.metrics))
+		sp.SetAttr("callnodes", len(out.cnodes))
+		sp.SetAttr("fastpath", in.fastpathLabel())
+	}
+	st.End(nil)
+	return in, nil
 }

@@ -36,8 +36,8 @@ func buildSized(title string, metrics, cnodes, threads int) *Experiment {
 
 func TestInstrumentRecordsOperatorMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
-	Instrument(reg)
-	defer Instrument(nil)
+	obs.SetRegistry(reg)
+	defer obs.SetRegistry(nil)
 
 	a := buildSized("a", 3, 4, 2)
 	b := buildSized("b", 3, 4, 2)
@@ -98,8 +98,8 @@ func TestInstrumentRecordsOperatorMetrics(t *testing.T) {
 
 func TestInstrumentRecordsErrors(t *testing.T) {
 	reg := obs.NewRegistry()
-	Instrument(reg)
-	defer Instrument(nil)
+	obs.SetRegistry(reg)
+	defer obs.SetRegistry(nil)
 	a := buildSized("a", 1, 1, 1)
 	if _, err := Difference(a, nil, nil); err == nil {
 		t.Fatal("Difference with nil operand succeeded")
@@ -114,14 +114,14 @@ func TestInstrumentRecordsErrors(t *testing.T) {
 
 func TestInstrumentDisabledRecordsNothing(t *testing.T) {
 	reg := obs.NewRegistry()
-	Instrument(reg)
-	Instrument(nil) // turn it off again
+	obs.SetRegistry(reg)
+	obs.SetRegistry(nil) // turn it off again
 	a := buildSized("a", 2, 2, 2)
 	if _, err := Difference(a, a, nil); err != nil {
 		t.Fatal(err)
 	}
-	if Instrumented() {
-		t.Errorf("Instrumented() = true after Instrument(nil)")
+	if obs.ActiveRegistry() != nil {
+		t.Errorf("ActiveRegistry() = non-nil after SetRegistry(nil)")
 	}
 	if got := reg.CounterValue("cube_op_invocations_total", obs.L("op", "difference")); got != 0 {
 		t.Errorf("disabled instrumentation still recorded %d invocations", got)
@@ -141,8 +141,8 @@ func BenchmarkOperatorInstrumentation(b *testing.B) {
 		reg  *obs.Registry
 	}{{"off", nil}, {"on", obs.NewRegistry()}} {
 		b.Run(mode.name, func(b *testing.B) {
-			Instrument(mode.reg)
-			defer Instrument(nil)
+			obs.SetRegistry(mode.reg)
+			defer obs.SetRegistry(nil)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := Difference(a, c, nil); err != nil {

@@ -186,12 +186,7 @@ func (in *integration) metricSrcs() []int32 {
 // The integrated domain must fit the severity store's packed keys;
 // otherwise integrate returns a *DomainError.
 func integrate(opts *Options, operands ...*Experiment) (*integration, error) {
-	in, err := integrateAny(opts, operands)
-	if err == nil {
-		in.out.reindex()
-		err = in.out.domainError()
-	}
-	return in, err
+	return integrateUnder(nil, opts, operands)
 }
 
 func integrateAny(opts *Options, operands []*Experiment) (*integration, error) {
@@ -218,21 +213,14 @@ func integrateAny(opts *Options, operands []*Experiment) (*integration, error) {
 			if err != nil {
 				return nil, err
 			}
-			recordMetaFastpath(opts, fastpathIdentity)
-			recordIntegration(in, operands)
 			return in, nil
 		}
 		memo := integrateMemoTable.Load()
 		var key memoKey
 		if memo != nil {
 			key = memoKeyOf(opts, digs)
-			ent, ok := memo.Get(key)
-			countMemo(ok)
-			if ok {
-				in := ent.open(operands)
-				recordMetaFastpath(opts, fastpathMemo)
-				recordIntegration(in, operands)
-				return in, nil
+			if ent, ok := memo.Get(key); ok {
+				return ent.open(operands), nil
 			}
 		}
 		in, err := integrateFull(opts, operands)
@@ -244,7 +232,6 @@ func integrateAny(opts *Options, operands []*Experiment) (*integration, error) {
 			ent := newMemoEntry(in)
 			memo.Add(key, ent, ent.bytes)
 		}
-		recordMetaFastpath(opts, fastpathMiss)
 		return in, nil
 	}
 	return integrateFull(opts, operands)
@@ -270,7 +257,6 @@ func integrateFull(opts *Options, operands []*Experiment) (*integration, error) 
 	}
 	in.out.topology = topo.Clone()
 	in.out.Invalidate()
-	recordIntegration(in, operands)
 	return in, nil
 }
 

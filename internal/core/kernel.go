@@ -243,10 +243,7 @@ type kernelPlan struct {
 func newKernelPlan(in *integration, opts *Options, operands []*Experiment, span *obs.Span) *kernelPlan {
 	out := in.out
 	out.reindex()
-	var ev *obs.Event
-	if opts != nil {
-		ev = opts.Event
-	}
+	ev := opts.event()
 	p := &kernelPlan{
 		in:     in,
 		span:   span,
@@ -263,23 +260,23 @@ func newKernelPlan(in *integration, opts *Options, operands []*Experiment, span 
 		p.nT = 1
 	}
 	p.cells = uint64(len(out.metrics)) * p.nC * p.nT
-	stage := startKernelStage()
-	// The remap tables come from the integration in flat form — identity
-	// or memoised tables on the digest fast paths, derived from the
-	// pointer maps otherwise (integrate.go tables()).
-	tabs := in.tables()
 	for i, x := range operands {
-		lsp := span.StartChild("lower")
+		st := obs.BeginIn(span, ev, obs.Lower)
+		// The remap tables come from the integration in flat form —
+		// identity or memoised tables on the digest fast paths, derived
+		// from the pointer maps otherwise (integrate.go tables()), on
+		// the first operand's lowering.
+		p.maps[i] = in.tables()[i]
 		p.blocks[i] = x.sealedBlock()
-		p.total += p.blocks[i].len()
-		p.maps[i] = tabs[i]
-		if lsp != nil {
-			lsp.SetAttr("operand", i)
-			lsp.SetAttr("cells", p.blocks[i].len())
-			lsp.End()
+		n := p.blocks[i].len()
+		p.total += n
+		st.Count(obs.KernelTuples, int64(n))
+		if sp := st.Span(); sp != nil {
+			sp.SetAttr("operand", i)
+			sp.SetAttr("cells", n)
 		}
+		st.End(nil)
 	}
-	stage.done("lower")
 
 	workers := 0
 	if opts != nil {
@@ -301,7 +298,6 @@ func newKernelPlan(in *integration, opts *Options, operands []*Experiment, span 
 		workers = 1
 	}
 	p.shards = workers
-	recordKernelPlan(p)
 	return p
 }
 
@@ -312,18 +308,24 @@ func (p *kernelPlan) shardOf(key uint64) int {
 	return int((key / p.nT) % uint64(p.shards))
 }
 
-// parallel runs fn once per shard, concurrently when the plan has more than
-// one shard. When a wide event is attached, every shard reports its own
-// wall time into it from its own goroutine — the event's accumulators are
-// concurrency-safe — so the event's compute_ms sums CPU-parallel work and
-// may exceed the invocation's wall duration.
-func (p *kernelPlan) parallel(fn func(shard int)) {
+// accumulate runs fn once per shard, concurrently when the plan has more
+// than one shard, as the plan's accumulate stage. When a wide event is
+// attached, every shard reports its own wall time into it from its own
+// goroutine, so the event's compute_ms sums CPU-parallel work and may
+// exceed the invocation's wall duration.
+func (p *kernelPlan) accumulate(accumulator string, fn func(shard int)) {
+	st := obs.BeginIn(p.span, p.event, obs.Accumulate)
+	defer st.End(nil)
+	st.Count(obs.KernelCalls, 1)
+	st.Count(obs.KernelShards, int64(p.shards))
+	st.Event().SetAccumulator(accumulator)
 	run := fn
-	if ev := p.event; ev != nil {
+	if st.Event() != nil {
+		shared := st // only an evented plan moves its stage to the heap
 		run = func(shard int) {
 			start := time.Now()
 			fn(shard)
-			ev.AddCompute(time.Since(start))
+			shared.Count(obs.KernelCompute, int64(time.Since(start)))
 		}
 	}
 	if p.shards == 1 {
@@ -384,11 +386,9 @@ func blockRows(b *sevBlock, rt remapTable, p *kernelPlan,
 // non-nil, restricts operand i to source metrics with keep[i][srcMetric]
 // (Merge's ownership rule); a nil inner slice admits every metric.
 func (p *kernelPlan) kernelCombine(weights []float64, keep [][]bool) {
-	stage := startKernelStage()
 	if p.denseOK() {
-		p.event.SetAccumulator("dense")
 		acc := make([]float64, p.cells)
-		p.parallel(func(shard int) {
+		p.accumulate("dense", func(shard int) {
 			ssp, rows := p.shardSpan(shard, "dense")
 			for i, b := range p.blocks {
 				w := weights[i]
@@ -419,9 +419,7 @@ func (p *kernelPlan) kernelCombine(weights []float64, keep [][]bool) {
 			}
 			endShardSpan(ssp, rows)
 		})
-		stage.done("accumulate")
-		stage = startKernelStage()
-		msp := p.span.StartChild("materialize")
+		st := obs.BeginIn(p.span, p.event, obs.Materialize)
 		// Count first so the output is allocated at its exact size: it
 		// becomes a cached result's store, and capacity sized for the
 		// operands' combined tuples would pin about n× its length.
@@ -439,15 +437,11 @@ func (p *kernelPlan) kernelCombine(weights []float64, keep [][]bool) {
 				vals = append(vals, v)
 			}
 		}
-		p.install(keys, vals, true, msp)
-		msp.SetAttr("cells", len(keys))
-		msp.End()
-		stage.done("materialize")
+		p.install(keys, vals, true, &st)
 		return
 	}
-	p.event.SetAccumulator("sparse")
 	accs := make([]map[uint64]float64, p.shards)
-	p.parallel(func(shard int) {
+	p.accumulate("sparse", func(shard int) {
 		ssp, rows := p.shardSpan(shard, "sparse")
 		acc := make(map[uint64]float64, p.total/p.shards+1)
 		for i, b := range p.blocks {
@@ -480,9 +474,7 @@ func (p *kernelPlan) kernelCombine(weights []float64, keep [][]bool) {
 		accs[shard] = acc
 		endShardSpan(ssp, rows)
 	})
-	stage.done("accumulate")
-	stage = startKernelStage()
-	msp := p.span.StartChild("materialize")
+	st := obs.BeginIn(p.span, p.event, obs.Materialize)
 	n := 0
 	for _, acc := range accs {
 		n += len(acc)
@@ -497,10 +489,7 @@ func (p *kernelPlan) kernelCombine(weights []float64, keep [][]bool) {
 			}
 		}
 	}
-	p.install(keys, vals, false, msp)
-	msp.SetAttr("cells", len(keys))
-	msp.End()
-	stage.done("materialize")
+	p.install(keys, vals, false, &st)
 }
 
 // shardSpan opens one worker shard's "kernel" span, annotated with the
@@ -532,15 +521,13 @@ func endShardSpan(ssp *obs.Span, rows *int) {
 // (zero extension). finish must be pure; it receives a buffer owned by the
 // kernel, valid only for the duration of the call.
 func (p *kernelPlan) kernelFold(finish func(folded []float64) float64) {
-	stage := startKernelStage()
-	p.event.SetAccumulator("fold")
 	nOps := len(p.blocks)
 	type shardOut struct {
 		keys []uint64
 		vals []float64
 	}
 	outs := make([]shardOut, p.shards)
-	p.parallel(func(shard int) {
+	p.accumulate("fold", func(shard int) {
 		ssp, rows := p.shardSpan(shard, "fold")
 		idx := make(map[uint64]int32, p.total/p.shards+1)
 		var keys []uint64
@@ -583,9 +570,7 @@ func (p *kernelPlan) kernelFold(finish func(folded []float64) float64) {
 		outs[shard] = shardOut{kept, vals}
 		endShardSpan(ssp, rows)
 	})
-	stage.done("accumulate")
-	stage = startKernelStage()
-	msp := p.span.StartChild("materialize")
+	st := obs.BeginIn(p.span, p.event, obs.Materialize)
 	n := 0
 	for _, o := range outs {
 		n += len(o.keys)
@@ -596,25 +581,28 @@ func (p *kernelPlan) kernelFold(finish func(folded []float64) float64) {
 		keys = append(keys, o.keys...)
 		vals = append(vals, o.vals...)
 	}
-	p.install(keys, vals, false, msp)
-	msp.SetAttr("cells", len(keys))
-	msp.End()
-	stage.done("materialize")
+	p.install(keys, vals, false, &st)
 }
 
-// install stores the kernel output as the result's severity block; the
-// accumulators already dropped exact zeros. The stored slices are
-// exact-size, so a cached result occupies what ResidentBytes charges for
-// it.
-func (p *kernelPlan) install(keys []uint64, vals []float64, sorted bool, parent *obs.Span) {
+// install stores the kernel output as the result's severity block and
+// ends the materialize stage st; the accumulators already dropped exact
+// zeros. The stored slices are exact-size, so a cached result occupies
+// what ResidentBytes charges for it.
+func (p *kernelPlan) install(keys []uint64, vals []float64, sorted bool, st *obs.Stage) {
 	keys, vals = exactSize(keys, vals)
-	if !sorted {
-		rsp := parent.StartChild("radix-sort")
+	if sp := st.Span(); !sorted && sp != nil {
+		rsp := sp.StartChild("radix-sort")
 		rsp.SetAttr("keys", len(keys))
 		radixSortKV(keys, vals)
 		rsp.End()
+	} else if !sorted {
+		radixSortKV(keys, vals)
 	}
 	p.in.out.installBlock(keys, vals)
+	if sp := st.Span(); sp != nil {
+		sp.SetAttr("cells", len(keys))
+	}
+	st.End(nil)
 }
 
 // exactSize returns the pair with capacity equal to length, copying only

@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"cube/internal/lru"
+	"cube/internal/obs"
 )
 
 // Integration memoization. integrate's outcome is fully determined by the
@@ -55,7 +56,7 @@ func SetIntegrateMemoBudget(budgetBytes int64) {
 		integrateMemoTable.Store(nil)
 		return
 	}
-	integrateMemoTable.Store(lru.New[memoKey, *memoEntry](budgetBytes, "cube_meta_memo", opRegistry.Load))
+	integrateMemoTable.Store(lru.New[memoKey, *memoEntry](budgetBytes, "cube_meta_memo", obs.ActiveRegistry))
 }
 
 type memoKey [32]byte
@@ -116,16 +117,4 @@ func (ent *memoEntry) open(operands []*Experiment) *integration {
 	in.metricSrc = ent.metricSrc
 	in.fastpath = fastpathMemo
 	return in
-}
-
-// countMemo records one memo lookup in the registry current at the time,
-// which core.Instrument may have swapped since the memo was created.
-func countMemo(hit bool) {
-	if reg := opRegistry.Load(); reg != nil {
-		if hit {
-			reg.Counter("cube_meta_memo_hits_total").Inc()
-		} else {
-			reg.Counter("cube_meta_memo_misses_total").Inc()
-		}
-	}
 }

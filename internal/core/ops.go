@@ -52,16 +52,7 @@ func deriveProvenance(in *integration, op string, operands []*Experiment) {
 // linearCombine implements every operator that is a weighted sum of its
 // operands' (zero-extended) severity functions.
 func linearCombine(op string, opts *Options, weights []float64, operands ...*Experiment) (*Experiment, error) {
-	rec := startOp(op, opts, operands)
-	in, err := tracedIntegrate(rec, opts, operands)
-	if err != nil {
-		rec.fail()
-		return nil, err
-	}
-	newKernelPlan(in, opts, operands, rec.opSpan()).kernelCombine(weights, nil)
-	deriveProvenance(in, op, operands)
-	rec.done(in.out)
-	return in.out, nil
+	return runOp(op, opts, operands, func(p *kernelPlan) { p.kernelCombine(weights, nil) })
 }
 
 // Difference computes a derived experiment whose severity function is the
@@ -135,20 +126,11 @@ func MergeAll(opts *Options, operands ...*Experiment) (*Experiment, error) {
 	if len(operands) == 0 {
 		return nil, ErrNoOperands
 	}
-	rec := startOp("merge", opts, operands)
-	in, err := tracedIntegrate(rec, opts, operands)
-	if err != nil {
-		rec.fail()
-		return nil, err
-	}
 	w := make([]float64, len(operands))
 	for i := range w {
 		w[i] = 1
 	}
-	newKernelPlan(in, opts, operands, rec.opSpan()).kernelCombine(w, mergeKeep(in, operands))
-	deriveProvenance(in, "merge", operands)
-	rec.done(in.out)
-	return in.out, nil
+	return runOp("merge", opts, operands, func(p *kernelPlan) { p.kernelCombine(w, mergeKeep(p.in, operands)) })
 }
 
 // Min computes the element-wise minimum over the operands' zero-extended
@@ -185,12 +167,6 @@ func StdDev(opts *Options, operands ...*Experiment) (*Experiment, error) {
 	if len(operands) < 2 {
 		return nil, fmt.Errorf("core: StdDev requires at least two operands")
 	}
-	rec := startOp("stddev", opts, operands)
-	in, err := tracedIntegrate(rec, opts, operands)
-	if err != nil {
-		rec.fail()
-		return nil, err
-	}
 	n := float64(len(operands))
 	stddev := func(folded []float64) float64 {
 		var sum, sumsq float64
@@ -204,10 +180,7 @@ func StdDev(opts *Options, operands ...*Experiment) (*Experiment, error) {
 		}
 		return math.Sqrt(variance)
 	}
-	newKernelPlan(in, opts, operands, rec.opSpan()).kernelFold(stddev)
-	deriveProvenance(in, "stddev", operands)
-	rec.done(in.out)
-	return in.out, nil
+	return runOp("stddev", opts, operands, func(p *kernelPlan) { p.kernelFold(stddev) })
 }
 
 // foldCombine implements non-linear element-wise operators. Because the
@@ -218,12 +191,6 @@ func foldCombine(op string, opts *Options, fold func(acc, v float64) float64, op
 	if len(operands) == 0 {
 		return nil, ErrNoOperands
 	}
-	rec := startOp(op, opts, operands)
-	in, err := tracedIntegrate(rec, opts, operands)
-	if err != nil {
-		rec.fail()
-		return nil, err
-	}
 	finish := func(folded []float64) float64 {
 		acc := folded[0]
 		for _, v := range folded[1:] {
@@ -231,8 +198,5 @@ func foldCombine(op string, opts *Options, fold func(acc, v float64) float64, op
 		}
 		return acc
 	}
-	newKernelPlan(in, opts, operands, rec.opSpan()).kernelFold(finish)
-	deriveProvenance(in, op, operands)
-	rec.done(in.out)
-	return in.out, nil
+	return runOp(op, opts, operands, func(p *kernelPlan) { p.kernelFold(finish) })
 }

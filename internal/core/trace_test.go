@@ -148,7 +148,7 @@ func TestOperatorTraceError(t *testing.T) {
 		t.Fatalf("retained %d traces after failed op", len(traces))
 	}
 	ra := attrMap(traces[0].Root())
-	if ra["error"] != true {
+	if ra["error"] != "core: operand 1 is nil" {
 		t.Errorf("failed op span lacks error attr: %v", ra)
 	}
 }

@@ -139,34 +139,26 @@ func Write(w io.Writer, e *core.Experiment) error {
 	return WriteContext(context.Background(), w, e)
 }
 
-// WriteContext is Write carrying a context for tracing: the encode runs
-// under a "cubexml.write" span (child of the span in ctx, or a root on
-// the process tracer) annotated with the bytes and cells written. With
-// tracing and metrics both disabled it is exactly Write.
+// WriteContext is Write carrying a context for observability: the encode
+// runs as one encode stage of the obs stage table (span "cubexml.write",
+// child of the span in ctx or a root on the process tracer), counting the
+// serialisations and the bytes written. Parses are the table's parse
+// stage in the same way. With nothing recording it is exactly Write.
 func WriteContext(ctx context.Context, w io.Writer, e *core.Experiment) error {
-	reg := xmlRegistry.Load()
-	sp, _ := obs.StartSpanContext(ctx, "cubexml.write")
-	ev := obs.EventFromContext(ctx)
-	if reg == nil && sp == nil && ev == nil {
+	st, _ := obs.Begin(ctx, obs.Encode)
+	if !st.On() {
 		return write(w, e)
 	}
 	cw := &countingWriter{w: w}
 	err := write(cw, e)
-	ev.AddXMLWrite(cw.n)
-	if reg != nil {
-		reg.Counter("cube_xml_write_bytes_total").Add(cw.n)
-		if err == nil {
-			reg.Counter("cube_xml_writes_total").Inc()
-		}
+	st.Count(obs.XMLWriteBytes, cw.n)
+	if err == nil {
+		st.Count(obs.XMLWrites, 1)
 	}
-	if sp != nil {
-		sp.SetAttr("bytes", cw.n)
+	if sp := st.Span(); sp != nil {
 		sp.SetAttr("cells", e.NonZeroCount())
-		if err != nil {
-			sp.SetAttr("error", err.Error())
-		}
-		sp.End()
 	}
+	st.End(err)
 	return err
 }
 
@@ -430,26 +422,13 @@ func ReadLimitedContext(ctx context.Context, r io.Reader, lim Limits) (*core.Exp
 	return ReadWith(ctx, r, ReadOptions{Limits: lim})
 }
 
-func readLimited(r io.Reader, lim Limits, sp *obs.Span, ev *obs.Event) (*core.Experiment, error) {
+func readLimited(r io.Reader, lim Limits, st *obs.Stage) (*core.Experiment, error) {
 	if lim.MaxElements <= 0 && lim.MaxDepth <= 0 {
-		return decode(r, sp, ev)
+		return decode(r, st)
 	}
-	reg := xmlRegistry.Load()
 	scan := func(sr io.Reader) error {
 		elems, err := checkLimits(sr, lim)
-		sp.SetAttr("elements", elems)
-		ev.AddXMLRead(0, elems)
-		if reg != nil {
-			reg.Counter("cube_xml_read_elements_total").Add(int64(elems))
-			switch {
-			case errors.Is(err, ErrLimit):
-				reg.Counter("cube_xml_limit_rejections_total").Inc()
-			case err != nil:
-				// Syntax errors caught by the scan never reach the
-				// decode pass; count them as failed reads here.
-				reg.Counter("cube_xml_read_errors_total").Inc()
-			}
-		}
+		st.Count(obs.XMLReadElements, int64(elems))
 		return err
 	}
 	if s, ok := r.(io.Seeker); ok {
@@ -460,14 +439,14 @@ func readLimited(r io.Reader, lim Limits, sp *obs.Span, ev *obs.Event) (*core.Ex
 			if _, err := s.Seek(start, io.SeekStart); err != nil {
 				return nil, fmt.Errorf("cubexml: rewinding after limit scan: %w", err)
 			}
-			return decode(r, sp, ev)
+			return decode(r, st)
 		}
 	}
 	var buf bytes.Buffer
 	if err := scan(io.TeeReader(r, &buf)); err != nil {
 		return nil, err
 	}
-	return decode(&buf, sp, ev)
+	return decode(&buf, st)
 }
 
 // checkLimits scans tokens up to the end of the root element, enforcing
@@ -505,23 +484,38 @@ func checkLimits(r io.Reader, lim Limits) (int, error) {
 	}
 }
 
-func decode(r io.Reader, sp *obs.Span, ev *obs.Event) (*core.Experiment, error) {
-	reg := xmlRegistry.Load()
-	if reg == nil && sp == nil && ev == nil {
+// countingReader counts the bytes pulled through it, so parses count
+// document bytes on the wire, not in-memory sizes.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (cr *countingReader) Read(p []byte) (int, error) {
+	n, err := cr.r.Read(p)
+	cr.n += int64(n)
+	return n, err
+}
+
+// countingWriter counts the bytes pushed through it.
+type countingWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (cw *countingWriter) Write(p []byte) (int, error) {
+	n, err := cw.w.Write(p)
+	cw.n += int64(n)
+	return n, err
+}
+
+func decode(r io.Reader, st *obs.Stage) (*core.Experiment, error) {
+	if !st.On() {
 		return decodeDoc(r)
 	}
 	cr := &countingReader{r: r}
 	e, err := decodeDoc(cr)
-	ev.AddXMLRead(cr.n, 0)
-	if reg != nil {
-		reg.Counter("cube_xml_read_bytes_total").Add(cr.n)
-		if err != nil {
-			reg.Counter("cube_xml_read_errors_total").Inc()
-		} else {
-			reg.Counter("cube_xml_reads_total").Inc()
-		}
-	}
-	sp.SetAttr("bytes", cr.n)
+	st.Count(obs.XMLReadBytes, cr.n)
 	return e, err
 }
 

@@ -81,17 +81,11 @@ type ReadOptions struct {
 }
 
 // ReadWith parses a CUBE XML document from r under the given options,
-// tracing the parse as a "cubexml.read" span.
+// as one parse stage (span "cubexml.read").
 func ReadWith(ctx context.Context, r io.Reader, opts ReadOptions) (*core.Experiment, error) {
-	sp, _ := obs.StartSpanContext(ctx, "cubexml.read")
-	ev := obs.EventFromContext(ctx)
-	e, err := readWith(r, opts, sp, ev)
-	if sp != nil {
-		if err != nil {
-			sp.SetAttr("error", err.Error())
-		}
-		sp.End()
-	}
+	st, _ := obs.Begin(ctx, obs.Parse)
+	e, err := readFast(r, nil, opts, &st, fastDecode, readLimited)
+	endRead(&st, err)
 	return e, err
 }
 
@@ -99,44 +93,78 @@ func ReadWith(ctx context.Context, r io.Reader, opts ReadOptions) (*core.Experim
 // that already own the bytes (the server's parse cache) skip the
 // buffering copy this way.
 func ReadBytes(ctx context.Context, data []byte, opts ReadOptions) (*core.Experiment, error) {
-	sp, _ := obs.StartSpanContext(ctx, "cubexml.read")
-	ev := obs.EventFromContext(ctx)
-	var e *core.Experiment
-	var err error
-	if opts.Engine == EngineLegacy {
-		e, err = readLimited(bytes.NewReader(data), opts.Limits, sp, ev)
-	} else {
-		e, err = readBytes(data, opts, sp, ev)
-	}
-	if sp != nil {
-		if err != nil {
-			sp.SetAttr("error", err.Error())
-		}
-		sp.End()
-	}
+	st, _ := obs.Begin(ctx, obs.Parse)
+	e, err := readFast(nil, data, opts, &st, fastDecode, readLimited)
+	endRead(&st, err)
 	return e, err
+}
+
+// endRead ends a parse stage, counting its outcome: a completed parse, a
+// document rejected by Limits, or a failed parse (syntax, validation,
+// reader failure).
+func endRead(st *obs.Stage, err error) {
+	switch {
+	case err == nil:
+		st.Count(obs.XMLReads, 1)
+	case errors.Is(err, ErrLimit):
+		st.Count(obs.XMLLimitRejections, 1)
+	case err != errBail:
+		st.Count(obs.XMLReadErrors, 1)
+	}
+	st.End(err)
 }
 
 // readBufPool recycles the document buffers of the fast path; parses of
 // similar-sized files stop paying the io.ReadAll growth dance.
 var readBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 64<<10); return &b }}
 
-func readWith(r io.Reader, opts ReadOptions, sp *obs.Span, ev *obs.Event) (*core.Experiment, error) {
+// readFast is the fast read path: it buffers r (unless the document is
+// already in data), scans it, and decodes it with fast. A document
+// outside the fast-path subset is re-read through the full legacy
+// pipeline, so it gets the canonical result and the canonical error
+// text; EngineLegacy goes there directly. A parse the fast path completes
+// counts its bytes — and its elements when a limit scan ran — exactly as
+// the legacy pipeline does.
+func readFast[T any](r io.Reader, data []byte, opts ReadOptions, st *obs.Stage,
+	fast func([]byte, *scanResult) (T, error), legacy func(io.Reader, Limits, *obs.Stage) (T, error)) (T, error) {
+	var zero T
 	if opts.Engine == EngineLegacy {
-		return readLimited(r, opts.Limits, sp, ev)
-	}
-	bp := readBufPool.Get().(*[]byte)
-	data, err := readAllInto((*bp)[:0], r)
-	*bp = data[:0]
-	defer readBufPool.Put(bp)
-	if err != nil {
-		if reg := xmlRegistry.Load(); reg != nil {
-			reg.Counter("cube_xml_read_errors_total").Inc()
+		if r == nil {
+			r = bytes.NewReader(data)
 		}
-		// The same wrapping the legacy token scan gives reader failures.
-		return nil, fmt.Errorf("cubexml: decode: %w", err)
+		return legacy(r, opts.Limits, st)
 	}
-	return readBytes(data, opts, sp, ev)
+	if r != nil {
+		bp := readBufPool.Get().(*[]byte)
+		var err error
+		data, err = readAllInto((*bp)[:0], r)
+		*bp = data[:0]
+		defer readBufPool.Put(bp)
+		if err != nil {
+			// The same wrapping the legacy token scan gives reader failures.
+			return zero, fmt.Errorf("cubexml: decode: %w", err)
+		}
+	}
+	lim := opts.Limits
+	res, err := scanDoc(data, lim)
+	if errors.Is(err, ErrLimit) {
+		st.Count(obs.XMLReadElements, int64(res.elements))
+		return zero, err
+	}
+	if err == nil {
+		out, err := fast(data, &res)
+		if !errors.Is(err, errBail) {
+			if lim.MaxElements > 0 || lim.MaxDepth > 0 {
+				st.Count(obs.XMLReadElements, int64(res.elements))
+			}
+			st.Count(obs.XMLReadBytes, int64(len(data)))
+			return out, err
+		}
+	}
+	if opts.Engine == EngineFast {
+		return zero, errBail
+	}
+	return legacy(bytes.NewReader(data), lim, st)
 }
 
 // readAllInto is io.ReadAll appending into a caller-owned buffer.
@@ -154,69 +182,6 @@ func readAllInto(buf []byte, r io.Reader) ([]byte, error) {
 			return buf, err
 		}
 	}
-}
-
-func readBytes(data []byte, opts ReadOptions, sp *obs.Span, ev *obs.Event) (*core.Experiment, error) {
-	reg := xmlRegistry.Load()
-	lim := opts.Limits
-	limited := lim.MaxElements > 0 || lim.MaxDepth > 0
-	res, serr := scanDoc(data, lim)
-	switch {
-	case serr == nil:
-	case errors.Is(serr, ErrLimit):
-		sp.SetAttr("elements", res.elements)
-		ev.AddXMLRead(0, res.elements)
-		if reg != nil {
-			reg.Counter("cube_xml_read_elements_total").Add(int64(res.elements))
-			reg.Counter("cube_xml_limit_rejections_total").Inc()
-		}
-		return nil, serr
-	default: // outside the fast-path subset
-		return fastFallback(data, opts, sp, ev)
-	}
-	e, err := fastDecode(data, &res)
-	if errors.Is(err, errBail) {
-		return fastFallback(data, opts, sp, ev)
-	}
-	recordFastRead(sp, ev, reg, &res, limited, len(data), err)
-	return e, err
-}
-
-// recordFastRead mirrors the legacy pipeline's metrics and span
-// annotations for a parse the fast path completed itself.
-func recordFastRead(sp *obs.Span, ev *obs.Event, reg *obs.Registry, res *scanResult, limited bool, nbytes int, err error) {
-	elems := 0
-	if limited {
-		// Elements are only counted when a limit scan ran, matching the
-		// legacy pipeline; unlimited parses attribute bytes alone.
-		elems = res.elements
-		sp.SetAttr("elements", res.elements)
-		if reg != nil {
-			reg.Counter("cube_xml_read_elements_total").Add(int64(res.elements))
-		}
-	}
-	ev.AddXMLRead(int64(nbytes), elems)
-	sp.SetAttr("bytes", int64(nbytes))
-	if reg == nil {
-		return
-	}
-	reg.Counter("cube_xml_read_bytes_total").Add(int64(nbytes))
-	if err != nil {
-		reg.Counter("cube_xml_read_errors_total").Inc()
-	} else {
-		reg.Counter("cube_xml_reads_total").Inc()
-	}
-}
-
-// fastFallback re-reads the buffered document through the full legacy
-// pipeline — limit scan, decode, metrics, span annotations — so every
-// document outside the fast-path subset gets the canonical result and
-// the canonical error text.
-func fastFallback(data []byte, opts ReadOptions, sp *obs.Span, ev *obs.Event) (*core.Experiment, error) {
-	if opts.Engine == EngineFast {
-		return nil, errBail
-	}
-	return readLimited(bytes.NewReader(data), opts.Limits, sp, ev)
 }
 
 // metaReader returns a reader over the document with the severity
@@ -490,71 +455,18 @@ type Info struct {
 // materialising the severity store — the cheap path for summaries over
 // huge files (cube-info).
 func ReadInfo(ctx context.Context, r io.Reader, opts ReadOptions) (*Info, error) {
-	sp, _ := obs.StartSpanContext(ctx, "cubexml.read")
-	sp.SetAttr("mode", "info")
-	info, err := readInfo(r, opts, sp, obs.EventFromContext(ctx))
-	if sp != nil {
-		if err != nil {
-			sp.SetAttr("error", err.Error())
-		}
-		sp.End()
+	st, _ := obs.Begin(ctx, obs.Parse)
+	if sp := st.Span(); sp != nil {
+		sp.SetAttr("mode", "info")
 	}
-	return info, err
-}
-
-func readInfo(r io.Reader, opts ReadOptions, sp *obs.Span, ev *obs.Event) (*Info, error) {
-	if opts.Engine == EngineLegacy {
-		e, err := readLimited(r, opts.Limits, sp, ev)
+	info, err := readFast(r, nil, opts, &st, infoDecode, func(r io.Reader, lim Limits, st *obs.Stage) (*Info, error) {
+		e, err := readLimited(r, lim, st)
 		if err != nil {
 			return nil, err
 		}
 		return infoFromExperiment(e), nil
-	}
-	bp := readBufPool.Get().(*[]byte)
-	data, err := readAllInto((*bp)[:0], r)
-	*bp = data[:0]
-	defer readBufPool.Put(bp)
-	if err != nil {
-		if reg := xmlRegistry.Load(); reg != nil {
-			reg.Counter("cube_xml_read_errors_total").Inc()
-		}
-		return nil, fmt.Errorf("cubexml: decode: %w", err)
-	}
-
-	reg := xmlRegistry.Load()
-	lim := opts.Limits
-	fullRead := func() (*Info, error) {
-		e, err := readLimited(bytes.NewReader(data), lim, sp, ev)
-		if err != nil {
-			return nil, err
-		}
-		return infoFromExperiment(e), nil
-	}
-	res, serr := scanDoc(data, lim)
-	switch {
-	case serr == nil:
-	case errors.Is(serr, ErrLimit):
-		sp.SetAttr("elements", res.elements)
-		ev.AddXMLRead(0, res.elements)
-		if reg != nil {
-			reg.Counter("cube_xml_read_elements_total").Add(int64(res.elements))
-			reg.Counter("cube_xml_limit_rejections_total").Inc()
-		}
-		return nil, serr
-	default:
-		if opts.Engine == EngineFast {
-			return nil, errBail
-		}
-		return fullRead()
-	}
-	info, err := infoDecode(data, &res)
-	if errors.Is(err, errBail) {
-		if opts.Engine == EngineFast {
-			return nil, errBail
-		}
-		return fullRead()
-	}
-	recordFastRead(sp, ev, reg, &res, lim.MaxElements > 0 || lim.MaxDepth > 0, len(data), err)
+	})
+	endRead(&st, err)
 	return info, err
 }
 

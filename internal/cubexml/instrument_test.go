@@ -2,6 +2,8 @@ package cubexml
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -22,8 +24,8 @@ func buildTiny(t *testing.T) *core.Experiment {
 
 func TestInstrumentCountsReadsAndWrites(t *testing.T) {
 	reg := obs.NewRegistry()
-	Instrument(reg)
-	defer Instrument(nil)
+	obs.SetRegistry(reg)
+	defer obs.SetRegistry(nil)
 
 	var buf bytes.Buffer
 	if err := Write(&buf, buildTiny(t)); err != nil {
@@ -64,8 +66,8 @@ func TestInstrumentCountsReadsAndWrites(t *testing.T) {
 
 func TestInstrumentCountsLimitRejections(t *testing.T) {
 	reg := obs.NewRegistry()
-	Instrument(reg)
-	defer Instrument(nil)
+	obs.SetRegistry(reg)
+	defer obs.SetRegistry(nil)
 
 	deep := strings.Repeat("<a>", 60) + strings.Repeat("</a>", 60)
 	if _, err := ReadLimited(strings.NewReader(deep), Limits{MaxDepth: 10}); err == nil {
@@ -78,7 +80,7 @@ func TestInstrumentCountsLimitRejections(t *testing.T) {
 
 func TestInstrumentDisabledIsFree(t *testing.T) {
 	reg := obs.NewRegistry()
-	Instrument(nil)
+	obs.SetRegistry(nil)
 	var buf bytes.Buffer
 	if err := Write(&buf, buildTiny(t)); err != nil {
 		t.Fatal(err)
@@ -88,5 +90,33 @@ func TestInstrumentDisabledIsFree(t *testing.T) {
 	}
 	if got := reg.CounterValue("cube_xml_reads_total"); got != 0 {
 		t.Errorf("disabled instrumentation recorded reads: %d", got)
+	}
+}
+
+// TestReadEnginesCountAlike holds the fast and the legacy reader to the
+// same parse-stage counts: both record through one declaration.
+func TestReadEnginesCountAlike(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, buildTiny(t)); err != nil {
+		t.Fatal(err)
+	}
+	deep := strings.Repeat("<a>", 60) + strings.Repeat("</a>", 60)
+	counts := func(engine ReadEngine) map[string]int64 {
+		reg := obs.NewRegistry()
+		obs.SetRegistry(reg)
+		defer obs.SetRegistry(nil)
+		for _, lim := range []Limits{{}, DefaultLimits, {MaxDepth: 10}} {
+			ReadWith(context.Background(), bytes.NewReader(buf.Bytes()), ReadOptions{Limits: lim, Engine: engine})
+			ReadWith(context.Background(), strings.NewReader(deep), ReadOptions{Limits: lim, Engine: engine})
+		}
+		out := map[string]int64{}
+		for _, c := range reg.Snapshot().Counters {
+			out[c.Name] = c.Value
+		}
+		return out
+	}
+	fast, legacy := counts(EngineAuto), counts(EngineLegacy)
+	if fmt.Sprint(fast) != fmt.Sprint(legacy) {
+		t.Errorf("fast reader counts %v, legacy reader %v", fast, legacy)
 	}
 }

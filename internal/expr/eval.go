@@ -187,11 +187,11 @@ func (g *Engine) evalAll(ctx context.Context, plan *Plan, fp string, opts *core.
 		for i, a := range n.Args {
 			operands[i] = results[a]
 		}
-		sp, _ := obs.StartSpanContext(ctx, "expr.node")
-		sp.SetAttr("op", n.Spec.name)
-		sp.SetAttr("key", n.KeyString()[:12])
+		st, _ := obs.Begin(ctx, obs.ExprNode)
 		nopts := opts
-		if sp != nil {
+		if sp := st.Span(); sp != nil {
+			sp.SetAttr("op", n.Spec.name)
+			sp.SetAttr("key", n.KeyString()[:12])
 			// Parent the operator's op.<name> span under expr.node so
 			// traces show which DAG node each kernel run belongs to.
 			var o core.Options
@@ -202,12 +202,10 @@ func (g *Engine) evalAll(ctx context.Context, plan *Plan, fp string, opts *core.
 			nopts = &o
 		}
 		master, err := n.Apply(nopts, operands)
+		st.End(err)
 		if err != nil {
-			sp.SetAttr("error", err.Error())
-			sp.End()
 			return nil, fmt.Errorf("expr: %s: %w", n.Spec.name, err)
 		}
-		sp.End()
 		stats.Evaluated++
 		g.count("cube_expr_eval_nodes_total", 1)
 		// Publish the master. Once it is visible in the cache, every

@@ -66,28 +66,3 @@ func SanitizeRequestID(id string) string {
 	}
 	return id
 }
-
-// --- histogram timers -----------------------------------------------------------
-
-// Timer records the time since its creation into an explicit histogram;
-// callers control the metric and buckets. A nil histogram makes the
-// timer inert. (Trace spans — tracing.go — are the structural
-// counterpart: a Timer feeds an aggregate histogram, a Span becomes one
-// node of a specific trace.)
-type Timer struct {
-	h     *Histogram
-	start time.Time
-}
-
-// StartTimer begins timing against h.
-func StartTimer(h *Histogram) Timer { return Timer{h: h, start: time.Now()} }
-
-// Stop records the elapsed time in seconds and returns it.
-func (t Timer) Stop() time.Duration {
-	if t.h == nil {
-		return 0
-	}
-	d := time.Since(t.start)
-	t.h.Observe(d.Seconds())
-	return d
-}

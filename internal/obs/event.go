@@ -58,11 +58,11 @@ type EventFields struct {
 	XMLWriteBytes  int64  `json:"xml_write_bytes,omitempty"`
 
 	// Cache and store interactions.
-	ParseCacheHits   int   `json:"parse_cache_hits,omitempty"`
-	ParseCacheMisses int   `json:"parse_cache_misses,omitempty"`
-	StoreGets        int   `json:"store_gets,omitempty"`
-	StorePuts        int   `json:"store_puts,omitempty"`
-	StorePins        int   `json:"store_pins,omitempty"`
+	ParseCacheHits   int64 `json:"parse_cache_hits,omitempty"`
+	ParseCacheMisses int64 `json:"parse_cache_misses,omitempty"`
+	StoreGets        int64 `json:"store_gets,omitempty"`
+	StorePuts        int64 `json:"store_puts,omitempty"`
+	StorePins        int64 `json:"store_pins,omitempty"`
 	StoreBytes       int64 `json:"store_bytes,omitempty"` // bytes read from / written to the store
 
 	// Expression engine (POST /expr).
@@ -72,17 +72,30 @@ type EventFields struct {
 	ExprEvaluated int `json:"expr_evaluated,omitempty"`  // operator nodes actually executed
 
 	// Metadata fast paths (integrate) and lowered-block reuse.
-	MetaIdentity     int `json:"meta_identity,omitempty"`      // integrations served by the identity fast path (all operand digests equal)
-	MetaMemoHits     int `json:"meta_memo_hits,omitempty"`     // integrations served from the integration memo
-	MetaMemoMisses   int `json:"meta_memo_misses,omitempty"`   // digest-eligible integrations that missed the memo
-	LowerCacheHits   int `json:"lower_cache_hits,omitempty"`   // operands served as shared sealed masters
-	LowerCacheMisses int `json:"lower_cache_misses,omitempty"` // operands that had to be cloned / lowered per request
+	MetaIdentity     int64 `json:"meta_identity,omitempty"`      // integrations served by the identity fast path (all operand digests equal)
+	MetaMemoHits     int64 `json:"meta_memo_hits,omitempty"`     // integrations served from the integration memo
+	MetaMemoMisses   int64 `json:"meta_memo_misses,omitempty"`   // digest-eligible integrations that missed the memo
+	LowerCacheHits   int64 `json:"lower_cache_hits,omitempty"`   // operands served as shared sealed masters
+	LowerCacheMisses int64 `json:"lower_cache_misses,omitempty"` // operands that had to be parsed for this request
 
 	// Kernel execution.
 	KernelCells  int64  `json:"kernel_cells,omitempty"`  // result severity cells produced
 	KernelTuples int64  `json:"kernel_tuples,omitempty"` // operand tuples consumed
-	KernelShards int    `json:"kernel_shards,omitempty"` // worker shards across all plans
+	KernelShards int64  `json:"kernel_shards,omitempty"` // worker shards across all plans
 	Accumulator  string `json:"accumulator,omitempty"`   // "dense" | "sparse" | "fold"
+
+	// Leaf stage times (stage.go): wall milliseconds per pipeline stage.
+	// Leaf stages never nest, so on one event they sum to at most
+	// DurationMS; the rest is time no stage covers (HTTP, queuing).
+	ResolveMS     float64 `json:"resolve_ms,omitempty"`     // multipart read, hashing, digest: pins and store reads
+	ParseMS       float64 `json:"parse_ms,omitempty"`       // XML decode
+	IntegrateMS   float64 `json:"integrate_ms,omitempty"`   // metadata integration
+	LowerMS       float64 `json:"lower_ms,omitempty"`       // kernel: operand blocks handed over
+	AccumulateMS  float64 `json:"accumulate_ms,omitempty"`  // kernel: shards combining operands
+	MaterializeMS float64 `json:"materialize_ms,omitempty"` // kernel: result block gathered
+	RenderMS      float64 `json:"render_ms,omitempty"`      // text displays (/view, /report, /info)
+	EncodeMS      float64 `json:"encode_ms,omitempty"`      // XML encode
+	StoreMS       float64 `json:"store_ms,omitempty"`       // durable store writes
 
 	// HTTP response / client call shape.
 	ResponseBytes int64 `json:"response_bytes,omitempty"`
@@ -92,6 +105,12 @@ type EventFields struct {
 	StoreEvent string `json:"store_event,omitempty"` // "evict" | "quarantine" | "degraded_enter" | "degraded_exit" | "recovery"
 	Digest     string `json:"digest,omitempty"`      // blob the lifecycle event concerns
 	Detail     string `json:"detail,omitempty"`      // free-form reason / summary
+}
+
+// StageMS returns the sum of the event's leaf stage times.
+func (f *EventFields) StageMS() float64 {
+	return f.ResolveMS + f.ParseMS + f.IntegrateMS + f.LowerMS + f.AccumulateMS +
+		f.MaterializeMS + f.RenderMS + f.EncodeMS + f.StoreMS
 }
 
 // storeEventNames are the legal StoreEvent values, shared with ValidateEvent.
@@ -301,12 +320,15 @@ func ActiveEventSink() *EventSink { return activeEventSink.Load() }
 // --- the in-flight event --------------------------------------------------------
 
 // Event is one wide event being accumulated. Mutators are safe for
-// concurrent use (kernel shards report into one event from many
-// goroutines) and all are no-ops on a nil *Event, so disabled telemetry
-// composes through call chains exactly like a nil *Span.
+// concurrent use and all are no-ops on a nil *Event, so disabled
+// telemetry composes through call chains exactly like a nil *Span. The
+// counted fields and stage times are atomic slots that stages fill
+// (Stage.Count, Stage.End) — kernel shards report into one event from
+// many goroutines without a lock.
 type Event struct {
 	sink  *EventSink
 	start time.Time
+	n     [maxEventSlots]atomic.Int64
 
 	mu      sync.Mutex
 	f       EventFields
@@ -351,6 +373,7 @@ func (e *Event) Emit() {
 	e.f.DurationMS = float64(time.Since(e.start)) / float64(time.Millisecond)
 	f := e.f // copy under the lock; the ring holds an immutable record
 	e.mu.Unlock()
+	f.fill(&e.n)
 	e.sink.emit(&f)
 }
 
@@ -361,8 +384,10 @@ func (e *Event) Fields() EventFields {
 		return EventFields{}
 	}
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.f
+	f := e.f
+	e.mu.Unlock()
+	f.fill(&e.n)
+	return f
 }
 
 // set runs fn under the event's lock; the no-op nil check lives here so
@@ -416,44 +441,6 @@ func (e *Event) AddOperand(source string, bytes int64) {
 	})
 }
 
-// AddXMLRead attributes one XML parse: bytes consumed and (when the limit
-// scan counted them) elements decoded.
-func (e *Event) AddXMLRead(bytes int64, elements int) {
-	e.set(func(f *EventFields) {
-		f.XMLReadBytes += bytes
-		f.XMLReadElems += int64(elements)
-	})
-}
-
-// AddXMLWrite attributes one XML encode.
-func (e *Event) AddXMLWrite(bytes int64) {
-	e.set(func(f *EventFields) { f.XMLWriteBytes += bytes })
-}
-
-// ParseCache attributes one parse-cache lookup.
-func (e *Event) ParseCache(hit bool) {
-	e.set(func(f *EventFields) {
-		if hit {
-			f.ParseCacheHits++
-		} else {
-			f.ParseCacheMisses++
-		}
-	})
-}
-
-// AddStoreGet attributes one store read of the given size.
-func (e *Event) AddStoreGet(bytes int64) {
-	e.set(func(f *EventFields) { f.StoreGets++; f.StoreBytes += bytes })
-}
-
-// AddStorePut attributes one store write of the given size.
-func (e *Event) AddStorePut(bytes int64) {
-	e.set(func(f *EventFields) { f.StorePuts++; f.StoreBytes += bytes })
-}
-
-// AddStorePin attributes one blob pin.
-func (e *Event) AddStorePin() { e.set(func(f *EventFields) { f.StorePins++ }) }
-
 // SetExprStats records what one expression evaluation did: unique DAG
 // nodes after CSE, eliminated subexpression references, result-cache
 // hits, and operator nodes actually executed.
@@ -464,56 +451,6 @@ func (e *Event) SetExprStats(nodes, cseHits, cacheHits, evaluated int) {
 		f.ExprCacheHits = cacheHits
 		f.ExprEvaluated = evaluated
 	})
-}
-
-// AddMetaFastpath attributes one metadata fast-path outcome in integrate:
-// "identity" (all operand digests equal), "memo" (integration memo hit),
-// or "miss" (digest-eligible but not cached). Full-merge integrations with
-// fewer than two operands, or with the fast path disabled, report nothing.
-func (e *Event) AddMetaFastpath(kind string) {
-	e.set(func(f *EventFields) {
-		switch kind {
-		case "identity":
-			f.MetaIdentity++
-		case "memo":
-			f.MetaMemoHits++
-		case "miss":
-			f.MetaMemoMisses++
-		}
-	})
-}
-
-// LowerCache attributes one sealed-block reuse decision: whether an
-// operand was served as a shared master already in the parse cache (hit)
-// or had to be parsed for this request (miss).
-func (e *Event) LowerCache(hit bool) {
-	e.set(func(f *EventFields) {
-		if hit {
-			f.LowerCacheHits++
-		} else {
-			f.LowerCacheMisses++
-		}
-	})
-}
-
-// AddKernelPlan attributes one kernel plan: its worker shard count and
-// the operand tuples it consumes.
-func (e *Event) AddKernelPlan(shards int, tuples int64) {
-	e.set(func(f *EventFields) {
-		f.KernelShards += shards
-		f.KernelTuples += tuples
-	})
-}
-
-// AddKernelCells attributes result severity cells produced.
-func (e *Event) AddKernelCells(n int64) {
-	e.set(func(f *EventFields) { f.KernelCells += n })
-}
-
-// AddCompute attributes compute wall time (summed across parallel worker
-// shards, so it can exceed the event's own wall duration).
-func (e *Event) AddCompute(d time.Duration) {
-	e.set(func(f *EventFields) { f.ComputeMS += float64(d) / float64(time.Millisecond) })
 }
 
 // SetAccumulator records the kernel accumulator choice ("dense",

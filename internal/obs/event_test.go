@@ -46,15 +46,10 @@ func TestEventNilSafety(t *testing.T) {
 	ev.SetStatus(200)
 	ev.SetOp("merge")
 	ev.AddOperand("inline", 10)
-	ev.AddXMLRead(1, 2)
-	ev.AddXMLWrite(3)
-	ev.ParseCache(true)
-	ev.AddStoreGet(4)
-	ev.AddStorePut(5)
-	ev.AddStorePin()
-	ev.AddKernelPlan(2, 100)
-	ev.AddKernelCells(50)
-	ev.AddCompute(time.Millisecond)
+	st := BeginIn(nil, ev, Parse)
+	st.Count(XMLReadBytes, 1)
+	st.Count(KernelCompute, int64(time.Millisecond))
+	st.End(nil)
 	ev.SetAccumulator("dense")
 	ev.Emit()
 	if f := ev.Fields(); f.Kind != "" {
@@ -92,18 +87,23 @@ func TestEventAccumulation(t *testing.T) {
 	ev.AddOperand("inline", 100)
 	ev.AddOperand("digest", 200)
 	ev.AddOperand("digest", 300)
-	ev.AddXMLRead(600, 42)
-	ev.AddXMLWrite(250)
-	ev.ParseCache(true)
-	ev.ParseCache(false)
-	ev.ParseCache(false)
-	ev.AddStoreGet(200)
-	ev.AddStorePut(300)
-	ev.AddStorePin()
-	ev.AddKernelPlan(4, 1000)
-	ev.AddKernelCells(512)
+	st := BeginIn(nil, ev, Parse)
+	st.Count(XMLReadBytes, 600)
+	st.Count(XMLReadElements, 42)
+	st.Count(XMLWriteBytes, 250)
+	st.Count(ParseCacheHits, 1)
+	st.Count(ParseCacheMisses, 2)
+	st.Count(StoreGets, 1)
+	st.Count(StorePuts, 1)
+	st.Count(StorePins, 1)
+	st.Count(StoreBytes, 500)
+	st.Count(KernelShards, 4)
+	st.Count(KernelTuples, 1000)
+	st.Count(Ops["merge"].Cells, 512)
+	st.Count(KernelCompute, int64(5*time.Millisecond))
+	time.Sleep(time.Millisecond)
+	st.End(nil)
 	ev.SetAccumulator("dense")
-	ev.AddCompute(5 * time.Millisecond)
 	ev.SetResponseBytes(250)
 	ev.Emit()
 
@@ -133,8 +133,9 @@ func TestEventAccumulation(t *testing.T) {
 	if f.ComputeMS != 5 {
 		t.Errorf("compute_ms = %g, want 5", f.ComputeMS)
 	}
-	if f.DurationMS < 0 {
-		t.Errorf("duration_ms = %g", f.DurationMS)
+	if f.ParseMS < 1 || f.StageMS() != f.ParseMS || f.StageMS() > f.DurationMS {
+		t.Errorf("parse_ms = %g, stage sum %g, duration_ms = %g: want parse ≥ 1 ms, the only stage, within the duration",
+			f.ParseMS, f.StageMS(), f.DurationMS)
 	}
 	if err := ValidateEvent(f); err != nil {
 		t.Errorf("ValidateEvent: %v", err)
@@ -146,6 +147,7 @@ func TestEventConcurrentMutation(t *testing.T) {
 	// accumulators must not lose updates. Run under -race in make race.
 	sink := NewEventSink(8)
 	ev := sink.NewEvent("http", "/api/v1/mean")
+	st := BeginIn(nil, ev, Accumulate)
 	const workers, per = 16, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -153,12 +155,13 @@ func TestEventConcurrentMutation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				ev.AddKernelCells(1)
-				ev.AddCompute(time.Microsecond)
+				st.Count(Ops["mean"].Cells, 1)
+				st.Count(KernelCompute, int64(time.Microsecond))
 			}
 		}()
 	}
 	wg.Wait()
+	st.End(nil)
 	ev.Emit()
 	f := sink.Events()[0]
 	if f.KernelCells != workers*per {

@@ -1,7 +1,8 @@
 // Package obs is the dependency-free observability layer shared by every
 // other package in the module: a named registry of labeled counters,
 // gauges, and fixed-bucket histograms (all lock-free on the hot path),
-// plus context-propagated request IDs and span-style timers.
+// plus context-propagated request IDs, trace spans, wide events, and the
+// pipeline stage table (stage.go) that feeds all three.
 //
 // The package deliberately has no third-party dependencies and exposes the
 // collected state in two wire formats — the Prometheus text exposition
@@ -361,6 +362,24 @@ func (r *Registry) lookup(name string, kind metricKind, buckets []float64, label
 	}
 	f.series[key] = s
 	return s
+}
+
+// find returns the existing series for (name, labels), or nil; unlike
+// lookup it never creates one.
+func (r *Registry) find(name string, labels []Label) *series {
+	if r == nil {
+		return nil
+	}
+	r.mu.RLock()
+	f := r.families[name]
+	r.mu.RUnlock()
+	if f == nil {
+		return nil
+	}
+	key := labelKey(sortedLabels(labels))
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	return f.series[key]
 }
 
 func newHistogram(bounds []float64) *Histogram {

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -265,23 +264,6 @@ func TestRequestIDContext(t *testing.T) {
 	ctx := WithRequestID(context.Background(), id)
 	if got := RequestID(ctx); got != id {
 		t.Errorf("RequestID = %q, want %q", got, id)
-	}
-}
-
-func TestTimer(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("t_seconds", DefLatencyBuckets)
-	tm := StartTimer(h)
-	time.Sleep(time.Millisecond)
-	if d := tm.Stop(); d <= 0 {
-		t.Errorf("timer duration = %v", d)
-	}
-	if h.Count() != 1 {
-		t.Errorf("timer did not record")
-	}
-	// Inert form.
-	if d := StartTimer(nil).Stop(); d != 0 {
-		t.Errorf("inert timer returned %v", d)
 	}
 }
 

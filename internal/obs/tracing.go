@@ -75,6 +75,20 @@ func (s *Span) SetAttr(key string, value any) {
 	s.mu.Unlock()
 }
 
+// addAttr adds n to the int64 attribute key, creating it at n.
+func (s *Span) addAttr(key string, n int64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range s.attrs {
+		if s.attrs[i].Key == key {
+			v, _ := s.attrs[i].Value.(int64)
+			s.attrs[i].Value = v + n
+			return
+		}
+	}
+	s.attrs = append(s.attrs, Attr{Key: key, Value: n})
+}
+
 // End stops the span. Ending the root span completes the trace: the
 // owning tracer decides retention (sampling, slow threshold) and logs
 // slow traces. Ending twice, or ending a nil span, is a no-op.
@@ -373,7 +387,7 @@ func HottestSpans(root *Span, n int) []HotSpan {
 
 // --- process-wide tracer seam ---------------------------------------------------
 
-// The active tracer mirrors core.Instrument's registry seam: a single
+// The active tracer mirrors the registry seam (SetRegistry): a single
 // atomic pointer every layer (operators, codec, client, CLIs) consults
 // when no explicit parent span reaches it through a context or Options.
 var activeTracer atomic.Pointer[Tracer]

@@ -1,6 +1,6 @@
 // Package selfcube closes the observability loop: it materialises the
 // server's own telemetry — the obs metrics registry, the Go runtime
-// estimates, and the retained trace spans — as an ordinary CUBE
+// estimates, and the pipeline stage times — as an ordinary CUBE
 // experiment, so the algebra analyses the process that implements it.
 // "What regressed between run N and N-1 of cube-server?" becomes
 // Difference over two self-snapshots, answered by the same kernels,
@@ -15,11 +15,14 @@
 //     child metric per labeled series (named "k=v,k2=v2"). Histograms
 //     split into <family>_count (occ) and <family>_sum (inferred unit)
 //     trees, because one CUBE metric tree must hold a single unit. Two
-//     more trees — Time (sec) and Visits (occ) — carry the span taxonomy.
-//   - program dimension: the call tree is the span-name taxonomy
-//     aggregated over the tracer's retained traces, rooted at a synthetic
-//     region named after the process. Severity is span self-time
-//     (duration minus children) for Time and the span count for Visits.
+//     more trees — Time (sec) and Visits (occ) — carry the stage times.
+//   - program dimension: one call node per leaf pipeline stage of the
+//     stage table in internal/obs (resolve, parse, integrate, lower,
+//     accumulate, materialize, render, encode, store) under a synthetic
+//     region named after the process. Severity is the stage's summed
+//     wall time for Time and its run count for Visits, read from the
+//     registry's unsampled stage series, so it does not depend on the
+//     trace sample rate.
 //   - system dimension: one machine (the host), one node, one process
 //     (rank 0, the live PID), one thread. Registry-derived values attach
 //     at the root call node of that single thread.
@@ -42,11 +45,9 @@ import (
 )
 
 // Collector gathers one self-telemetry experiment from the live process.
-// All fields may be nil/empty except Registry; a nil Tracer yields an
-// experiment whose call tree is just the synthetic process root.
+// All fields may be nil/empty except Registry.
 type Collector struct {
 	Registry *obs.Registry
-	Tracer   *obs.Tracer
 	Go       *obs.GoRuntimeSampler // sampled before each collection when set
 	Process  string                // process name used in titles and the system tree
 	Host     string
@@ -54,7 +55,7 @@ type Collector struct {
 }
 
 // NewCollector returns a collector for the current process.
-func NewCollector(reg *obs.Registry, tracer *obs.Tracer, gs *obs.GoRuntimeSampler, process string) *Collector {
+func NewCollector(reg *obs.Registry, gs *obs.GoRuntimeSampler, process string) *Collector {
 	host, _ := os.Hostname()
 	if host == "" {
 		host = "localhost"
@@ -62,7 +63,7 @@ func NewCollector(reg *obs.Registry, tracer *obs.Tracer, gs *obs.GoRuntimeSample
 	if process == "" {
 		process = "self"
 	}
-	return &Collector{Registry: reg, Tracer: tracer, Go: gs, Process: process, Host: host, PID: os.Getpid()}
+	return &Collector{Registry: reg, Go: gs, Process: process, Host: host, PID: os.Getpid()}
 }
 
 // RunTitle is the monotonic run-series naming scheme: self:<process>:<seq>,
@@ -126,17 +127,19 @@ func (c *Collector) Collect(seq uint64, at time.Time) (*core.Experiment, error) 
 	proc := mach.NewNode(c.Host).NewProcess(0, fmt.Sprintf("%s pid %d", c.Process, c.PID))
 	proc.NewThread(0, "collector")
 
-	// Program dimension: the aggregated span taxonomy under a synthetic
+	// Program dimension: one call node per leaf stage under a synthetic
 	// process root. The root region is also where registry-wide values
 	// (which have no call context) attach.
 	rootRegion := e.NewRegion(c.Process, "self", 0, 0)
 	rootNode := e.NewCallRoot(e.NewCallSite("", 0, rootRegion))
-	tax := aggregateSpans(c.Tracer)
-
 	var cells []cell
-	timeM := e.NewMetric("Time", core.Seconds, "span self-time aggregated from retained traces")
-	visitsM := e.NewMetric("Visits", core.Occurrences, "spans aggregated at this call path")
-	buildTaxonomy(e, rootNode, tax, timeM, visitsM, &cells)
+	timeM := e.NewMetric("Time", core.Seconds, "wall time of the pipeline stage")
+	visitsM := e.NewMetric("Visits", core.Occurrences, "times the pipeline stage ran")
+	for _, st := range obs.LeafStageTimes(c.Registry) {
+		node := rootNode.NewChild(e.NewCallSite("", 0, e.NewRegion(st.Name, "stage", 0, 0)))
+		cells = append(cells, cell{timeM, node, st.Seconds}, cell{visitsM, node, float64(st.Count)})
+	}
+	e.Invalidate()
 
 	// Metric dimension: the registry snapshot, one tree per family.
 	famRoots := map[string]*core.Metric{}
@@ -199,74 +202,6 @@ func (c *Collector) Collect(seq uint64, at time.Time) (*core.Experiment, error) 
 		return nil, fmt.Errorf("selfcube: collected experiment invalid: %w", err)
 	}
 	return e, nil
-}
-
-// taxNode is one node of the span-name taxonomy: spans with the same name
-// under the same parent path merge, accumulating self-time and visits.
-type taxNode struct {
-	name     string
-	selfSec  float64
-	visits   int64
-	children map[string]*taxNode
-}
-
-func newTaxNode(name string) *taxNode {
-	return &taxNode{name: name, children: map[string]*taxNode{}}
-}
-
-// aggregateSpans folds every completed retained trace into one taxonomy.
-// In-flight traces (root duration still zero) are skipped: their timings
-// are not final and would under-report.
-func aggregateSpans(tracer *obs.Tracer) *taxNode {
-	root := newTaxNode("")
-	for _, tr := range tracer.Traces() {
-		if tr.Root() == nil || tr.Duration() <= 0 {
-			continue
-		}
-		mergeSpan(root, tr.Root())
-	}
-	return root
-}
-
-func mergeSpan(parent *taxNode, s *obs.Span) {
-	n := parent.children[s.Name()]
-	if n == nil {
-		n = newTaxNode(s.Name())
-		parent.children[s.Name()] = n
-	}
-	self := s.Duration()
-	for _, ch := range s.Children() {
-		self -= ch.Duration()
-		mergeSpan(n, ch)
-	}
-	if self < 0 {
-		self = 0 // overlapping concurrent children (kernel shards)
-	}
-	n.selfSec += self.Seconds()
-	n.visits++
-}
-
-// buildTaxonomy materialises the taxonomy as call nodes under parent and
-// queues the Time/Visits severities. Children are created in sorted name
-// order so collection is deterministic for a given taxonomy.
-func buildTaxonomy(e *core.Experiment, parent *core.CallNode, tn *taxNode, timeM, visitsM *core.Metric, cells *[]cell) {
-	names := make([]string, 0, len(tn.children))
-	for name := range tn.children {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		child := tn.children[name]
-		region := e.FindRegion(name)
-		if region == nil || region.Module != "span" {
-			region = e.NewRegion(name, "span", 0, 0)
-		}
-		node := parent.NewChild(e.NewCallSite("", 0, region))
-		*cells = append(*cells, cell{timeM, node, child.selfSec})
-		*cells = append(*cells, cell{visitsM, node, float64(child.visits)})
-		buildTaxonomy(e, node, child, timeM, visitsM, cells)
-	}
-	e.Invalidate()
 }
 
 // FindSeries returns the metric node carrying the family's series with the

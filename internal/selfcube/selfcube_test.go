@@ -49,26 +49,24 @@ func TestUnitFor(t *testing.T) {
 	}
 }
 
-// testCollector builds a collector over a populated registry and tracer.
-func testCollector(t *testing.T) (*Collector, *obs.Registry, *obs.Tracer) {
+// testCollector builds a collector over a registry populated with
+// request series and leaf-stage times: two parses, one accumulate.
+func testCollector(t *testing.T) (*Collector, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	reg.Counter("cube_http_requests_total", obs.L("route", "/expr")).Add(5)
 	reg.Counter("cube_http_requests_total", obs.L("route", "/healthz")).Add(2)
 	reg.Gauge("cube_http_inflight").Set(3)
 	reg.Histogram("cube_http_request_duration_seconds", obs.DefLatencyBuckets, obs.L("route", "/expr")).Observe(0.25)
-	tracer := obs.NewTracer(obs.TracerOptions{SampleRate: 1})
-	root := tracer.StartTrace("POST /expr", "t1")
-	child := root.StartChild("evaluate")
-	child.StartChild("difference").End()
-	child.End()
-	root.End()
-	c := NewCollector(reg, tracer, nil, "testproc")
-	return c, reg, tracer
+	parse := reg.Histogram("cube_stage_seconds", obs.DefLatencyBuckets, obs.L("stage", "parse"))
+	parse.Observe(0.002)
+	parse.Observe(0.002)
+	reg.Histogram("cube_kernel_stage_seconds", obs.DefLatencyBuckets, obs.L("stage", "accumulate")).Observe(0.001)
+	return NewCollector(reg, nil, "testproc"), reg
 }
 
 func TestCollect(t *testing.T) {
-	c, _, _ := testCollector(t)
+	c, _ := testCollector(t)
 	at := time.Date(2026, 8, 8, 12, 0, 0, 0, time.UTC)
 	e, err := c.Collect(3, at)
 	if err != nil {
@@ -110,8 +108,8 @@ func TestCollect(t *testing.T) {
 		t.Errorf("duration_count unit: got %+v, want occ tree", cnt)
 	}
 
-	// The span taxonomy became the call tree: process root, then the
-	// trace's span names as nested regions.
+	// The leaf stages became the call tree: process root, then one node
+	// per stage.
 	if len(e.CallRoots()) != 1 {
 		t.Fatalf("call roots = %d, want 1", len(e.CallRoots()))
 	}
@@ -119,25 +117,24 @@ func TestCollect(t *testing.T) {
 	if root.Callee().Name != "testproc" {
 		t.Errorf("call root = %q, want testproc", root.Callee().Name)
 	}
-	req := root.FindChild("POST /expr")
-	if req == nil {
-		t.Fatal("span 'POST /expr' missing from call tree")
+	if n := len(root.Children()); n != 9 {
+		t.Errorf("stage nodes = %d, want 9", n)
 	}
-	eval := req.FindChild("evaluate")
-	if eval == nil || eval.FindChild("difference") == nil {
-		t.Fatal("nested spans missing from call tree")
+	parse := root.FindChild("parse")
+	if parse == nil || root.FindChild("accumulate") == nil || root.FindChild("store") == nil {
+		t.Fatal("leaf stages missing from call tree")
 	}
-	// Time and Visits carry the aggregated span severities.
+	// Time and Visits carry the stage series' sums and counts.
 	timeM := e.FindMetricByName("Time")
 	visits := e.FindMetricByName("Visits")
 	if timeM == nil || visits == nil {
 		t.Fatal("Time/Visits metrics missing")
 	}
 	if got := e.MetricTotal(visits); got != 3 {
-		t.Errorf("total visits = %g, want 3 (three spans)", got)
+		t.Errorf("total visits = %g, want 3 (two parses, one accumulate)", got)
 	}
-	if got := e.MetricTotal(timeM); got <= 0 {
-		t.Errorf("total self-time = %g, want > 0", got)
+	if got := e.MetricValue(timeM, parse); got != 0.004 {
+		t.Errorf("parse time = %g, want 0.004", got)
 	}
 
 	// System dimension: one machine/node/process/thread.
@@ -147,7 +144,7 @@ func TestCollect(t *testing.T) {
 }
 
 func TestCollectDifference(t *testing.T) {
-	c, reg, _ := testCollector(t)
+	c, reg := testCollector(t)
 	a, err := c.Collect(1, time.Now())
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +171,7 @@ func TestCollectDifference(t *testing.T) {
 }
 
 func TestCollectRoundTrip(t *testing.T) {
-	c, _, _ := testCollector(t)
+	c, _ := testCollector(t)
 	e, err := c.Collect(1, time.Now())
 	if err != nil {
 		t.Fatal(err)
@@ -197,8 +194,8 @@ func TestCollectRoundTrip(t *testing.T) {
 	if v := SeriesValue(got, "cube_http_requests_total", obs.L("route", "/expr")); v != 5 {
 		t.Errorf("round-trip requests_total = %g, want 5", v)
 	}
-	if got.FindRegion("evaluate") == nil {
-		t.Error("round-trip lost span taxonomy region")
+	if got.FindRegion("parse") == nil {
+		t.Error("round-trip lost the stage regions")
 	}
 }
 
@@ -209,7 +206,7 @@ func (w *writerBuf) Write(p []byte) (int, error) { w.b = append(w.b, p...); retu
 func TestCollectEmptyTracer(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("cube_requests_total").Inc()
-	c := NewCollector(reg, nil, nil, "p")
+	c := NewCollector(reg, nil, "p")
 	e, err := c.Collect(1, time.Now())
 	if err != nil {
 		t.Fatal(err)
@@ -226,14 +223,14 @@ func TestSnapshotterConfigValidation(t *testing.T) {
 	if _, err := NewSnapshotter(SnapshotterConfig{}); err == nil {
 		t.Error("want error without collector")
 	}
-	c, _, _ := testCollector(t)
+	c, _ := testCollector(t)
 	if _, err := NewSnapshotter(SnapshotterConfig{Collector: c}); err == nil {
 		t.Error("want error without store")
 	}
 }
 
 func TestSnapshotterSeriesAndRotation(t *testing.T) {
-	c, reg, _ := testCollector(t)
+	c, reg := testCollector(t)
 	st, err := store.Open(t.TempDir(), store.Options{Logger: slog.Default()})
 	if err != nil {
 		t.Fatal(err)

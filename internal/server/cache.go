@@ -34,7 +34,6 @@ import (
 // bytes instead would let the same budget hold about 1.5× more masters,
 // so the budget is kept on the safe side.
 type parseCache struct {
-	reg    *obs.Registry
 	limits cubexml.Limits
 	engine cubexml.ReadEngine
 	lru    *lru.Cache[store.Digest, parsed]
@@ -49,18 +48,14 @@ type parsed struct {
 	meta [sha256.Size]byte
 }
 
+// newParseCache returns a parse cache holding at most budget bytes of
+// operand input; its size and evictions are published to reg, its hits
+// and misses through the stage table (obs.ParseCache).
 func newParseCache(budget int64, lim cubexml.Limits, engine cubexml.ReadEngine, reg *obs.Registry) *parseCache {
 	return &parseCache{
-		reg:    reg,
 		limits: lim,
 		engine: engine,
 		lru:    lru.New[store.Digest, parsed](budget, "cube_parse_cache", func() *obs.Registry { return reg }),
-	}
-}
-
-func (pc *parseCache) count(name string) {
-	if pc.reg != nil {
-		pc.reg.Counter(name).Inc()
 	}
 }
 
@@ -73,35 +68,27 @@ func bytesLoader(data []byte) func() ([]byte, error) {
 // of its sealed severity block. load supplies the bytes on a miss. The
 // caller must treat the result as strictly read-only.
 func (pc *parseCache) shared(ctx context.Context, d store.Digest, load func() ([]byte, error)) (*core.Experiment, error) {
-	ent, outcome, err := pc.parse(ctx, d, load)
-	if err != nil {
-		return nil, err
-	}
-	// Lowered-block reuse: a repeat request over the same content digest
-	// serves the master's columnar block outright instead of copying it.
-	// The first parse necessarily builds the block, so it counts as the
-	// miss that populates the cache.
-	hit := outcome != lru.Miss
-	if hit {
-		pc.count("cube_lower_cache_hits_total")
-	} else {
-		pc.count("cube_lower_cache_misses_total")
-	}
-	obs.EventFromContext(ctx).LowerCache(hit)
-	return ent.e, nil
+	ent, err := pc.lookup(ctx, d, load, true)
+	return ent.e, err
 }
 
-// parse returns the cached master for content digest d. On a miss it
-// calls load for the bytes and parses them; a hit never calls load.
-func (pc *parseCache) parse(ctx context.Context, d store.Digest, load func() ([]byte, error)) (parsed, lru.Outcome, error) {
-	sp, _ := obs.StartSpanContext(ctx, "cubexml.cache")
+// lookup returns the cached master for content digest d, as one
+// parse-cache stage. On a miss it calls load for the bytes and parses
+// them; a hit never calls load. An operand lookup also counts
+// lowered-block reuse: a repeat request over the same content digest
+// serves the master's columnar block outright instead of copying it, and
+// the first parse, which necessarily builds the block, is the miss that
+// populates the cache. A "wait" shared another request's parse, which is
+// a hit from this request's cost perspective.
+func (pc *parseCache) lookup(ctx context.Context, d store.Digest, load func() ([]byte, error), operand bool) (parsed, error) {
+	st, _ := obs.Begin(ctx, obs.ParseCache)
 	var data []byte
 	ent, outcome, err := pc.lru.Do(d, func() (parsed, int64, error) {
 		var err error
 		if data, err = load(); err != nil {
 			return parsed{}, 0, err
 		}
-		pc.count("cube_parse_cache_misses_total")
+		st.Count(obs.ParseCacheMisses, 1)
 		master, err := cubexml.ReadBytes(ctx, data, cubexml.ReadOptions{Limits: pc.limits, Engine: pc.engine})
 		if err != nil {
 			return parsed{}, 0, err
@@ -112,23 +99,26 @@ func (pc *parseCache) parse(ctx context.Context, d store.Digest, load func() ([]
 		master.CompactSeverities()
 		return parsed{e: master, meta: master.MetaDigest()}, int64(len(data)), nil
 	})
-	if outcome != lru.Miss && err == nil {
-		pc.count("cube_parse_cache_hits_total")
+	hit := outcome != lru.Miss
+	if err == nil {
+		if hit {
+			st.Count(obs.ParseCacheHits, 1)
+		}
+		if operand && hit {
+			st.Count(obs.LowerCacheHits, 1)
+		} else if operand {
+			st.Count(obs.LowerCacheMisses, 1)
+		}
 	}
-	if sp != nil {
+	if sp := st.Span(); sp != nil {
 		sp.SetAttr("outcome", outcome.String())
 		sp.SetAttr("bytes", int64(len(data))) // 0 unless this call loaded them
-		if err != nil {
-			sp.SetAttr("error", err.Error())
-		} else {
+		if err == nil {
 			sp.SetAttr("meta", hex.EncodeToString(ent.meta[:6]))
 		}
-		sp.End()
 	}
-	// A "wait" shared another request's parse, which is a hit from this
-	// request's cost perspective.
-	obs.EventFromContext(ctx).ParseCache(outcome != lru.Miss)
-	return ent, outcome, err
+	st.End(err)
+	return ent, err
 }
 
 // parseContentDigest extracts the sha-256 digest from an RFC 9530

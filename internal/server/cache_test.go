@@ -33,9 +33,17 @@ func encodeExp(t testing.TB, e *core.Experiment) []byte {
 
 func counter(reg *obs.Registry, name string) int64 { return reg.Counter(name).Value() }
 
+// newTestParseCache is newParseCache with reg also installed as the
+// stage table's registry, where the hit and miss counters land.
+func newTestParseCache(t testing.TB, budget int64, lim cubexml.Limits, engine cubexml.ReadEngine, reg *obs.Registry) *parseCache {
+	obs.SetRegistry(reg)
+	t.Cleanup(func() { obs.SetRegistry(nil) })
+	return newParseCache(budget, lim, engine, reg)
+}
+
 func TestParseCacheHitMiss(t *testing.T) {
 	reg := obs.NewRegistry()
-	pc := newParseCache(1<<20, cubexml.DefaultLimits, cubexml.EngineAuto, reg)
+	pc := newTestParseCache(t, 1<<20, cubexml.DefaultLimits, cubexml.EngineAuto, reg)
 	want := buildExp("cached", 0)
 	data := encodeExp(t, want)
 	d := store.DigestOf(data)
@@ -93,7 +101,7 @@ func startFlight(pc *parseCache, key store.Digest, e *core.Experiment, err error
 
 func TestParseCacheSingleflightWait(t *testing.T) {
 	reg := obs.NewRegistry()
-	pc := newParseCache(1<<20, cubexml.DefaultLimits, cubexml.EngineAuto, reg)
+	pc := newTestParseCache(t, 1<<20, cubexml.DefaultLimits, cubexml.EngineAuto, reg)
 	want := buildExp("inflight", 0)
 	data := encodeExp(t, want)
 
@@ -146,7 +154,7 @@ func TestParseCacheEviction(t *testing.T) {
 		encodeExp(t, buildExp("c", 0.5)),
 	}
 	budget := int64(len(docs[0])+len(docs[1])) + 16 // room for two, not three
-	pc := newParseCache(budget, cubexml.DefaultLimits, cubexml.EngineAuto, reg)
+	pc := newTestParseCache(t, budget, cubexml.DefaultLimits, cubexml.EngineAuto, reg)
 	for _, d := range docs {
 		if _, err := pc.shared(context.Background(), store.DigestOf(d), bytesLoader(d)); err != nil {
 			t.Fatal(err)
@@ -180,7 +188,7 @@ func TestParseCacheEviction(t *testing.T) {
 func TestParseCacheOversizedNotCached(t *testing.T) {
 	reg := obs.NewRegistry()
 	data := encodeExp(t, buildExp("big", 0))
-	pc := newParseCache(int64(len(data))-1, cubexml.DefaultLimits, cubexml.EngineAuto, reg)
+	pc := newTestParseCache(t, int64(len(data))-1, cubexml.DefaultLimits, cubexml.EngineAuto, reg)
 	for i := 0; i < 2; i++ {
 		if _, err := pc.shared(context.Background(), store.DigestOf(data), bytesLoader(data)); err != nil {
 			t.Fatal(err)
@@ -200,7 +208,7 @@ func TestParseCacheOversizedNotCached(t *testing.T) {
 // no cache entry behind.
 func TestParseCacheErrorReachesAllWaiters(t *testing.T) {
 	reg := obs.NewRegistry()
-	pc := newParseCache(1<<20, cubexml.DefaultLimits, cubexml.EngineAuto, reg)
+	pc := newTestParseCache(t, 1<<20, cubexml.DefaultLimits, cubexml.EngineAuto, reg)
 	bad := []byte("not xml at all")
 	key := store.DigestOf(bad)
 
@@ -248,7 +256,7 @@ func TestParseCacheErrorReachesAllWaiters(t *testing.T) {
 
 func TestParseCacheParseErrorNotCached(t *testing.T) {
 	reg := obs.NewRegistry()
-	pc := newParseCache(1<<20, cubexml.DefaultLimits, cubexml.EngineAuto, reg)
+	pc := newTestParseCache(t, 1<<20, cubexml.DefaultLimits, cubexml.EngineAuto, reg)
 	bad := []byte("<cube this is not XML")
 	var lastErr error
 	for i := 0; i < 2; i++ {
@@ -279,7 +287,7 @@ func TestParseCacheConcurrentMixed(t *testing.T) {
 		prints = append(prints, e.Fingerprint())
 	}
 	budget := int64(len(docs[0])) * 5 / 2 // holds ~2 of 6 operands
-	pc := newParseCache(budget, cubexml.DefaultLimits, cubexml.EngineAuto, reg)
+	pc := newTestParseCache(t, budget, cubexml.DefaultLimits, cubexml.EngineAuto, reg)
 
 	const workers, iters = 16, 25
 	var wg sync.WaitGroup
@@ -471,7 +479,7 @@ func TestParseContentDigest(t *testing.T) {
 // allocation is a parse allocation.
 func BenchmarkParseCacheHit(b *testing.B) {
 	reg := obs.NewRegistry()
-	pc := newParseCache(1<<24, cubexml.DefaultLimits, cubexml.EngineAuto, reg)
+	pc := newTestParseCache(b, 1<<24, cubexml.DefaultLimits, cubexml.EngineAuto, reg)
 	data := encodeExp(b, buildExp("bench", 0))
 	d := store.DigestOf(data)
 	if _, err := pc.shared(context.Background(), d, bytesLoader(data)); err != nil {

@@ -68,27 +68,29 @@ func (s *service) handleExpr(w http.ResponseWriter, r *http.Request) {
 	ev := obs.EventFromContext(r.Context())
 	opts.Event = ev
 
+	st, _ := obs.Begin(r.Context(), obs.Resolve)
 	src, operands, err := s.readExprBody(r)
+	st.End(err)
 	if err != nil {
 		s.exprError(w, r, err, http.StatusBadRequest)
 		return
 	}
 
-	// Parse, validate, and canonicalize under an expr.plan span: the
-	// plan's node count, CSE hits, and depth are the attributes that
+	// Parse, validate, and canonicalize as the expr.plan stage: the
+	// plan's node count, CSE hits, and depth are the span attributes that
 	// explain the evaluation that follows.
-	sp, _ := obs.StartSpanContext(r.Context(), "expr.plan")
+	st, _ = obs.Begin(r.Context(), obs.ExprPlan)
 	plan, err := s.planExpr(src, operands)
+	if sp := st.Span(); sp != nil && err == nil {
+		sp.SetAttr("nodes", len(plan.Nodes))
+		sp.SetAttr("cse_hits", plan.CSEHits)
+		sp.SetAttr("depth", plan.Depth)
+	}
+	st.End(err)
 	if err != nil {
-		sp.SetAttr("error", err.Error())
-		sp.End()
 		s.exprError(w, r, err, http.StatusBadRequest)
 		return
 	}
-	sp.SetAttr("nodes", len(plan.Nodes))
-	sp.SetAttr("cse_hits", plan.CSEHits)
-	sp.SetAttr("depth", plan.Depth)
-	sp.End()
 
 	// Every digest leaf is pinned when it resolves and stays pinned until
 	// evaluation is over, so budget-pressure eviction cannot pull an
@@ -96,31 +98,18 @@ func (s *service) handleExpr(w http.ResponseWriter, r *http.Request) {
 	var pinned []store.Digest
 	defer s.unpin(&pinned)
 	resolve := s.exprResolver(operands, &pinned)
+	var results []*core.Experiment
+	var stats expr.Stats
 	if len(plan.Roots) > 1 {
-		results, stats, err := s.expr.EvalMulti(r.Context(), plan, opts, resolve)
-		if err != nil {
-			if r.Context().Err() != nil {
-				return // the timeout middleware already answered
-			}
-			s.exprError(w, r, err, http.StatusUnprocessableEntity)
-			return
-		}
-		ev.SetOp(plan.Root.Op())
-		ev.SetExprStats(stats.Nodes, stats.CSEHits, stats.CacheHits, stats.Evaluated)
-		s.exprHeaders(w, stats)
-		w.Header().Set("X-Cube-Expr-Roots", strconv.Itoa(len(results)))
-		if ctxDone(w, r) {
-			return
-		}
-		s.writeExperimentParts(w, r, results)
-		return
+		results, stats, err = s.expr.EvalMulti(r.Context(), plan, opts, resolve)
+	} else {
+		results = make([]*core.Experiment, 1)
+		results[0], stats, err = s.expr.Eval(r.Context(), plan, opts, resolve)
 	}
-	result, stats, err := s.expr.Eval(r.Context(), plan, opts, resolve)
 	if err != nil {
-		if r.Context().Err() != nil {
-			return // the timeout middleware already answered
+		if r.Context().Err() == nil { // else the timeout middleware already answered
+			s.exprError(w, r, err, http.StatusUnprocessableEntity)
 		}
-		s.exprError(w, r, err, http.StatusUnprocessableEntity)
 		return
 	}
 	ev.SetOp(plan.Root.Op())
@@ -129,7 +118,12 @@ func (s *service) handleExpr(w http.ResponseWriter, r *http.Request) {
 	if ctxDone(w, r) {
 		return
 	}
-	s.writeExperiment(w, r, result)
+	if len(results) > 1 {
+		w.Header().Set("X-Cube-Expr-Roots", strconv.Itoa(len(results)))
+		s.writeExperimentParts(w, r, results)
+	} else {
+		s.writeExperiment(w, r, results[0])
+	}
 }
 
 // exprHeaders stamps the evaluation-stat response headers shared by the
@@ -234,12 +228,15 @@ func (s *service) resolveDigestLeaf(ctx context.Context, d store.Digest, pinned 
 	if st == nil {
 		return nil, fmt.Errorf("digest reference %s but no experiment store is configured", d)
 	}
+	pin, _ := obs.Begin(ctx, obs.Resolve)
 	if !st.Pin(d) {
-		return nil, &storeMissError{digest: d.String()}
+		err := &storeMissError{digest: d.String()}
+		pin.End(err)
+		return nil, err
 	}
 	*pinned = append(*pinned, d)
-	ev := obs.EventFromContext(ctx)
-	ev.AddStorePin()
+	pin.Count(obs.StorePins, 1)
+	pin.End(nil)
 	size := int64(-1)
 	read := func() ([]byte, error) {
 		data, err := st.GetContext(ctx, d)
@@ -264,7 +261,7 @@ func (s *service) resolveDigestLeaf(ctx context.Context, d store.Digest, pinned 
 		size, _ = st.Stat(d) // pinned, so still indexed
 	}
 	if size >= 0 {
-		ev.AddOperand("digest", size)
+		obs.EventFromContext(ctx).AddOperand("digest", size)
 		statsFrom(ctx).add(size)
 	}
 	return e, err
@@ -290,10 +287,9 @@ func (s *service) unpin(pinned *[]store.Digest) {
 // resolves each exactly as an expression leaf. The experiments are the
 // parse cache's shared masters: callers only read them. Store pins are held until every operand has resolved.
 func (s *service) resolveOperands(r *http.Request) ([]*core.Experiment, error) {
-	if err := r.ParseMultipartForm(8 << 20); err != nil {
-		return nil, fmt.Errorf("parsing multipart form: %w", err)
-	}
-	parts, err := s.readOperandParts(r)
+	st, _ := obs.Begin(r.Context(), obs.Resolve)
+	parts, err := s.readOperandForm(r)
+	st.End(err)
 	if err != nil {
 		return nil, err
 	}
@@ -310,6 +306,14 @@ func (s *service) resolveOperands(r *http.Request) ([]*core.Experiment, error) {
 		}
 	}
 	return out, nil
+}
+
+// readOperandForm reads a multipart form of ordered "operand" parts.
+func (s *service) readOperandForm(r *http.Request) ([]exprOperand, error) {
+	if err := r.ParseMultipartForm(8 << 20); err != nil {
+		return nil, fmt.Errorf("parsing multipart form: %w", err)
+	}
+	return s.readOperandParts(r)
 }
 
 // readExprBody extracts the expression document and the inline operands

@@ -22,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"cube/internal/core"
 	"cube/internal/cubexml"
 	"cube/internal/obs"
 	"cube/internal/selfcube"
@@ -79,6 +80,49 @@ func postDifference(t *testing.T, srv *httptest.Server, delay time.Duration) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("difference: status %d", resp.StatusCode)
+	}
+}
+
+// stageTime returns the Time severity at the leaf stage's call node of a
+// self-snapshot (or of a difference of two).
+func stageTime(t *testing.T, e *core.Experiment, stage string) float64 {
+	t.Helper()
+	node := e.CallRoots()[0].FindChild(stage)
+	timeM := e.FindMetricByName("Time")
+	if node == nil || timeM == nil {
+		t.Fatalf("stage %q or the Time metric missing from the self-snapshot", stage)
+	}
+	return e.MetricValue(timeM, node)
+}
+
+// TestSelfTelemetryStageTimesUnsampled checks that a self-snapshot's
+// stage times do not depend on trace sampling: with tracing off, operator
+// traffic still shows up as parse and accumulate time.
+func TestSelfTelemetryStageTimesUnsampled(t *testing.T) {
+	cfg := quietConfig()
+	cfg.Metrics = obs.NewRegistry()
+	cfg.Debug = true
+	cfg.TraceSampleRate = 0
+	cfg.TraceSlow = 0
+	cfg.SelfKeep = 2
+	srv, _ := newStoreServer(t, cfg, store.Options{})
+	for i := 0; i < 3; i++ {
+		postDifference(t, srv, 0)
+	}
+	takeSnapshot(t, srv)
+	resp, err := http.Get(srv.URL + "/debug/self/experiment.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	e, err := cubexml.Read(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stage := range []string{"parse", "accumulate"} {
+		if got := stageTime(t, e, stage); got <= 0 {
+			t.Errorf("%s Time = %g at trace sample rate 0, want > 0", stage, got)
+		}
 	}
 }
 
@@ -149,10 +193,10 @@ func TestSelfTelemetryDetectsLatencyRegression(t *testing.T) {
 		t.Errorf("duration_count delta = %g, want %d", gotCount, slowReqs)
 	}
 
-	// The span taxonomy came along: the traced route appears in the call
-	// tree of the snapshots (and hence the difference).
-	if diff.FindRegion("http /op/{op}") == nil {
-		t.Error("span taxonomy region 'http /op/{op}' missing from difference")
+	// The stage times came along: the injected delay sits in the body
+	// read, so the resolve stage's Time delta carries it.
+	if got := stageTime(t, diff, "resolve"); got < float64(slowReqs)*injected.Seconds()*0.8 {
+		t.Errorf("resolve Time delta = %gs, want >= %gs", got, float64(slowReqs)*injected.Seconds()*0.8)
 	}
 
 	// GET /debug/self lists both runs, oldest first.

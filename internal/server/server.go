@@ -102,9 +102,10 @@ func Handler() http.Handler {
 
 // NewHandler returns the service handler with the given configuration
 // (nil means DefaultConfig). All limits, the logger, and the metrics
-// registry come from cfg. Operator and codec instrumentation
-// (core.Instrument, cubexml.Instrument) is pointed at the same registry —
-// both are process-wide seams, so the last handler created wins.
+// registry come from cfg. The stage table's registry seam
+// (obs.SetRegistry), which the algebra, the codec and the store record
+// through, is pointed at the same registry — it is process-wide, so the
+// last handler created wins.
 func NewHandler(cfg *Config) http.Handler {
 	if cfg == nil {
 		cfg = DefaultConfig()
@@ -117,8 +118,7 @@ func NewHandler(cfg *Config) http.Handler {
 		s.cache = newParseCache(cfg.ParseCacheBytes, cfg.XML, cfg.ReadEngine, s.reg)
 	}
 	s.expr = expr.NewEngine(expr.Config{CacheBytes: cfg.ExprCacheBytes, Metrics: s.reg})
-	core.Instrument(s.reg)
-	cubexml.Instrument(s.reg)
+	obs.SetRegistry(s.reg)
 	s.events = cfg.Events
 	if s.events == nil {
 		s.events = obs.NewEventSink(cfg.EventRingSize)
@@ -126,8 +126,8 @@ func NewHandler(cfg *Config) http.Handler {
 	// The sink doubles as the process-wide seam (obs.SetEventSink), so
 	// store lifecycle transitions that happen outside any request — LRU
 	// evictions from recovery, degraded-mode probes — land in the same
-	// ring the requests do. Like the instrumentation seams above, the
-	// last handler created wins.
+	// ring the requests do. Like the registry seam above, the last
+	// handler created wins.
 	obs.SetEventSink(s.events)
 	if cfg.SLOAvailability > 0 || cfg.SLOLatency > 0 {
 		s.slo = obs.NewSLOTracker(obs.SLOConfig{
@@ -157,7 +157,7 @@ func NewHandler(cfg *Config) http.Handler {
 			process = "cube-server"
 		}
 		snap, err := selfcube.NewSnapshotter(selfcube.SnapshotterConfig{
-			Collector: selfcube.NewCollector(s.reg, s.tracer, s.gor, process),
+			Collector: selfcube.NewCollector(s.reg, s.gor, process),
 			Store:     cfg.Store,
 			Interval:  cfg.SelfInterval,
 			Keep:      cfg.SelfKeep,
@@ -240,7 +240,10 @@ func (s *service) handleReport(w http.ResponseWriter, r *http.Request) {
 		sel.MetricCollapsed = true
 	}
 	var buf bytes.Buffer
-	if err := report.Write(&buf, e, &report.Options{Selection: sel}); err != nil {
+	st, _ := obs.Begin(r.Context(), obs.Render)
+	err := report.Write(&buf, e, &report.Options{Selection: sel})
+	st.End(err)
+	if err != nil {
 		httpError(w, r, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
@@ -476,23 +479,24 @@ func (s *service) handleView(w http.ResponseWriter, r *http.Request) {
 		httpError(w, r, http.StatusBadRequest, "unknown mode %q", mode)
 		return
 	}
-	out, err := display.RenderString(e, sel, cfg)
-	if err != nil {
-		httpError(w, r, http.StatusUnprocessableEntity, "%v", err)
-		return
-	}
+	top := 0
 	if topStr := r.URL.Query().Get("top"); topStr != "" {
-		n, err := strconv.Atoi(topStr)
-		if err != nil || n <= 0 {
+		if top, err = strconv.Atoi(topStr); err != nil || top <= 0 {
 			httpError(w, r, http.StatusBadRequest, "bad top parameter %q", topStr)
 			return
 		}
-		spots, err := display.HotspotsString(e, sel, cfg, n)
-		if err != nil {
-			httpError(w, r, http.StatusUnprocessableEntity, "%v", err)
-			return
-		}
+	}
+	st, _ := obs.Begin(r.Context(), obs.Render)
+	out, err := display.RenderString(e, sel, cfg)
+	if err == nil && top > 0 {
+		var spots string
+		spots, err = display.HotspotsString(e, sel, cfg, top)
 		out += "\n" + spots
+	}
+	st.End(err)
+	if err != nil {
+		httpError(w, r, http.StatusUnprocessableEntity, "%v", err)
+		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprint(w, out)
@@ -507,6 +511,7 @@ func (s *service) handleInfo(w http.ResponseWriter, r *http.Request) {
 		httpError(w, r, http.StatusBadRequest, "info accepts 1 or 2 operands")
 		return
 	}
+	st, _ := obs.Begin(r.Context(), obs.Render)
 	var sb strings.Builder
 	for _, e := range operands {
 		fmt.Fprintf(&sb, "%q: %d metrics, %d call paths, %d threads, %d tuples\n",
@@ -515,13 +520,17 @@ func (s *service) handleInfo(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(&sb, "  derived by %q from %v\n", e.Operation, e.Parents)
 		}
 	}
+	var err error
 	if len(operands) == 2 {
-		rep, err := core.StructuralDiff(operands[0], operands[1], nil)
-		if err != nil {
-			httpError(w, r, http.StatusUnprocessableEntity, "%v", err)
-			return
+		var rep *core.StructuralReport
+		if rep, err = core.StructuralDiff(operands[0], operands[1], nil); err == nil {
+			sb.WriteString(rep.Summary())
 		}
-		sb.WriteString(rep.Summary())
+	}
+	st.End(err)
+	if err != nil {
+		httpError(w, r, http.StatusUnprocessableEntity, "%v", err)
+		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprint(w, sb.String())

@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"cube/internal/cubexml"
+	"cube/internal/obs"
 	"cube/internal/store"
 )
 
@@ -108,7 +109,15 @@ func (s *service) handleExperimentPut(w http.ResponseWriter, r *http.Request) {
 		writeResult(http.StatusOK, size, false)
 		return
 	}
+	// Reading and hashing the upload is its resolve stage.
+	rs, _ := obs.Begin(r.Context(), obs.Resolve)
 	data, err := io.ReadAll(r.Body)
+	oversize := s.cfg.MaxFileBytes > 0 && int64(len(data)) > s.cfg.MaxFileBytes
+	var got store.Digest
+	if err == nil && !oversize {
+		got = store.DigestOf(data)
+	}
+	rs.End(err)
 	if err != nil {
 		code := http.StatusBadRequest
 		var mbe *http.MaxBytesError
@@ -118,12 +127,12 @@ func (s *service) handleExperimentPut(w http.ResponseWriter, r *http.Request) {
 		httpError(w, r, code, "reading upload: %v", err)
 		return
 	}
-	if s.cfg.MaxFileBytes > 0 && int64(len(data)) > s.cfg.MaxFileBytes {
+	if oversize {
 		httpError(w, r, http.StatusRequestEntityTooLarge,
 			"%v: upload is %d bytes (per-file limit %d)", errTooLarge, len(data), s.cfg.MaxFileBytes)
 		return
 	}
-	if got := store.DigestOf(data); got != d {
+	if got != d {
 		if s.reg != nil {
 			s.reg.Counter("cube_digest_mismatch_total").Inc()
 		}
@@ -140,7 +149,7 @@ func (s *service) handleExperimentPut(w http.ResponseWriter, r *http.Request) {
 	// through the cache also pre-warms the entry the first digest
 	// reference will hit.
 	if s.cache != nil {
-		_, _, err = s.cache.parse(r.Context(), d, bytesLoader(data))
+		_, err = s.cache.lookup(r.Context(), d, bytesLoader(data), false)
 	} else {
 		_, err = cubexml.ReadBytes(r.Context(), data, cubexml.ReadOptions{Limits: s.cfg.XML, Engine: s.cfg.ReadEngine})
 	}

@@ -497,31 +497,29 @@ func (s *Store) Put(data []byte, want *Digest) (Digest, bool, error) {
 	return s.PutContext(context.Background(), data, want)
 }
 
-// PutContext is Put carrying a context for observability: the commit runs
-// under a "store.put" span (child of the span in ctx) annotated with the
-// blob size and the digest-verification time, evictions it forces appear
-// as "store.evict" children, and the wide event in ctx (if any) is
-// credited with the write.
+// PutContext is Put carrying a context for observability: the commit is
+// one store stage (span "store.put", child of the span in ctx) annotated
+// with the blob size and the digest-verification time; evictions it
+// forces appear as "store.evict" children, and the wide event in ctx (if
+// any) is credited with the write.
 func (s *Store) PutContext(ctx context.Context, data []byte, want *Digest) (Digest, bool, error) {
-	sp, _ := obs.StartSpanContext(ctx, "store.put")
+	st, _ := obs.Begin(ctx, obs.Store)
 	vstart := time.Now()
 	d := DigestOf(data)
+	sp := st.Span()
 	if sp != nil {
-		sp.SetAttr("bytes", int64(len(data)))
 		sp.SetAttr("verify_seconds", time.Since(vstart).Seconds())
 	}
 	dig, created, err := s.put(ctx, sp, d, data, want)
 	if sp != nil {
 		sp.SetAttr("digest", dig.String())
 		sp.SetAttr("created", created)
-		if err != nil {
-			sp.SetAttr("error", err.Error())
-		}
-		sp.End()
 	}
 	if err == nil {
-		obs.EventFromContext(ctx).AddStorePut(int64(len(data)))
+		st.Count(obs.StorePuts, 1)
+		st.Count(obs.StoreBytes, int64(len(data)))
 	}
+	st.End(err)
 	return dig, created, err
 }
 
@@ -642,25 +640,22 @@ func (s *Store) Get(d Digest) ([]byte, error) {
 	return s.GetContext(context.Background(), d)
 }
 
-// GetContext is Get carrying a context for observability: the read runs
-// under a "store.get" span (child of the span in ctx) annotated with the
-// blob size and the verification time, and the wide event in ctx (if
-// any) is credited with the read.
+// GetContext is Get carrying a context for observability: the read is
+// a resolve stage (span "store.get", child of the span in ctx) annotated
+// with the blob size and the verification time, and the wide event in ctx
+// (if any) is credited with the read.
 func (s *Store) GetContext(ctx context.Context, d Digest) ([]byte, error) {
-	sp, _ := obs.StartSpanContext(ctx, "store.get")
+	st, _ := obs.Begin(ctx, obs.StoreGet)
 	data, verify, err := s.get(d)
-	if sp != nil {
+	if sp := st.Span(); sp != nil {
 		sp.SetAttr("digest", d.String())
-		sp.SetAttr("bytes", int64(len(data)))
 		sp.SetAttr("verify_seconds", verify.Seconds())
-		if err != nil {
-			sp.SetAttr("error", err.Error())
-		}
-		sp.End()
 	}
 	if err == nil {
-		obs.EventFromContext(ctx).AddStoreGet(int64(len(data)))
+		st.Count(obs.StoreGets, 1)
+		st.Count(obs.StoreBytes, int64(len(data)))
 	}
+	st.End(err)
 	return data, err
 }
 
