@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"cube"
+	"cube/internal/cubexml"
 	"cube/internal/obs"
 )
 
@@ -236,7 +237,7 @@ func (c *Client) doFull(ctx context.Context, method, path, contentType string, b
 			asp.End()
 		} else {
 			asp.SetAttr("status", resp.StatusCode)
-			data, rerr := io.ReadAll(resp.Body)
+			data, rerr := readBody(resp)
 			resp.Body.Close()
 			asp.End()
 			switch {
@@ -277,6 +278,34 @@ func (c *Client) doFull(ctx context.Context, method, path, contentType string, b
 	}
 }
 
+// maxPresize caps the buffer readBody allocates on the word of
+// Content-Length alone; a larger body grows as it arrives.
+const maxPresize = 64 << 20
+
+// readBody reads a response body into one buffer sized from its
+// Content-Length, growing only when the length is absent or wrong. A
+// truncated body is an error, which the retry loop treats as transient.
+func readBody(resp *http.Response) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n > 0 && n <= maxPresize {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare bytes to read EOF
+	}
+	_, err := buf.ReadFrom(resp.Body)
+	return buf.Bytes(), err
+}
+
+// acceptColumnar asks operator and expression routes for the columnar
+// body; XML, the server's default, decodes as well.
+var acceptColumnar = http.Header{"Accept": {cubexml.ColumnarType + ", application/xml;q=0.5"}}
+
+// decodeExperiment decodes a computed experiment in whichever encoding
+// the server sent. The body itself tells XML and columnar apart, so a
+// proxy that rewrites bodies or their Content-Type cannot make it
+// misread one as the other.
+func decodeExperiment(data []byte) (*cube.Experiment, error) {
+	return cubexml.ReadBytes(context.Background(), data, cubexml.ReadOptions{Limits: cubexml.DefaultLimits})
+}
+
 // marshalOperands builds the multipart body once so retries can replay it.
 // Each operand part carries a Content-Digest header (RFC 9530, sha-256
 // over the part body) so the server can detect corruption in transit.
@@ -315,6 +344,20 @@ func (c *Client) postOperands(ctx context.Context, path string, exps ...*cube.Ex
 		return nil, err
 	}
 	return c.do(ctx, http.MethodPost, path, ct, body)
+}
+
+// postOp sends a multipart operand body to an operator route and decodes
+// the derived experiment.
+func (c *Client) postOp(ctx context.Context, name, path, ct string, body []byte) (*cube.Experiment, error) {
+	data, _, _, err := c.doFull(ctx, http.MethodPost, path, ct, body, acceptColumnar)
+	if err != nil {
+		return nil, err
+	}
+	e, err := decodeExperiment(data)
+	if err != nil {
+		return nil, fmt.Errorf("decoding %s result: %w", name, err)
+	}
+	return e, nil
 }
 
 // Healthz checks that the server is up and answering.
@@ -358,15 +401,11 @@ func (c *Client) Op(ctx context.Context, name string, opts *OpOptions, operands 
 }
 
 func (c *Client) op(ctx context.Context, name string, q url.Values, operands ...*cube.Experiment) (*cube.Experiment, error) {
-	data, err := c.postOperands(ctx, "/op/"+url.PathEscape(name)+encodeQuery(q), operands...)
+	ct, body, err := marshalOperands(operands)
 	if err != nil {
 		return nil, err
 	}
-	e, err := cube.Read(bytes.NewReader(data))
-	if err != nil {
-		return nil, fmt.Errorf("decoding %s result: %w", name, err)
-	}
-	return e, nil
+	return c.postOp(ctx, name, "/op/"+url.PathEscape(name)+encodeQuery(q), ct, body)
 }
 
 // Difference computes a − b remotely.

@@ -256,7 +256,7 @@ func (c *Client) ExprRaw(ctx context.Context, doc []byte, opts *OpOptions, inlin
 	if err != nil {
 		return nil, st, err
 	}
-	res, err := cube.Read(bytes.NewReader(data))
+	res, err := decodeExperiment(data)
 	if err != nil {
 		return nil, st, fmt.Errorf("decoding expression result: %w", err)
 	}
@@ -287,7 +287,7 @@ func (c *Client) ExprMultiRaw(ctx context.Context, doc []byte, opts *OpOptions, 
 	}
 	mt, params, err := mime.ParseMediaType(hdr.Get("Content-Type"))
 	if err != nil || !strings.HasPrefix(mt, "multipart/") {
-		e, err := cube.Read(bytes.NewReader(data))
+		e, err := decodeExperiment(data)
 		if err != nil {
 			return nil, st, fmt.Errorf("decoding expression result: %w", err)
 		}
@@ -303,7 +303,11 @@ func (c *Client) ExprMultiRaw(ctx context.Context, doc []byte, opts *OpOptions, 
 		if err != nil {
 			return nil, st, fmt.Errorf("reading multipart response: %w", err)
 		}
-		e, err := cube.Read(p)
+		part, err := io.ReadAll(p)
+		if err != nil {
+			return nil, st, fmt.Errorf("reading multipart response: %w", err)
+		}
+		e, err := decodeExperiment(part)
 		if err != nil {
 			return nil, st, fmt.Errorf("decoding root %d: %w", len(outs), err)
 		}
@@ -327,7 +331,7 @@ func (c *Client) exprPost(ctx context.Context, doc []byte, opts *OpOptions, inli
 	} else if ct, body, err = marshalExprForm(doc, inline); err != nil {
 		return nil, nil, ExprStats{}, err
 	}
-	data, hdr, _, err := c.doFull(ctx, http.MethodPost, path, ct, body, nil)
+	data, hdr, _, err := c.doFull(ctx, http.MethodPost, path, ct, body, acceptColumnar)
 	if err != nil {
 		var serr *StatusError
 		if errors.As(err, &serr) && serr.Code == http.StatusNotFound {

@@ -1,14 +1,17 @@
 package client
 
-// Regression tests for the Retry-After parser (both RFC 9110 forms) and
-// for Stat's handling of a HEAD response that omits Content-Length.
+// Regression tests for the Retry-After parser (both RFC 9110 forms), for
+// Stat's handling of a HEAD response that omits Content-Length, and for
+// response bodies that end early or declare the wrong length.
 
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -71,5 +74,38 @@ func TestStatUnknownSize(t *testing.T) {
 	}
 	if errors.Is(err, ErrNotStored) {
 		t.Error("unknown size must not masquerade as absence")
+	}
+}
+
+// A body cut short of its Content-Length is a transient failure: the
+// client retries and returns the complete body.
+func TestTruncatedBodyRetried(t *testing.T) {
+	var attempts atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if attempts.Add(1) == 1 {
+			w.Header().Set("Content-Length", "100")
+			io.WriteString(w, "short")
+			w.(http.Flusher).Flush()    // the status line and part of the body go out
+			panic(http.ErrAbortHandler) // then the connection drops mid-body
+		}
+		io.WriteString(w, "complete")
+	}))
+	defer srv.Close()
+	data, err := fastClient(srv.URL).do(context.Background(), http.MethodGet, "/x", "", nil)
+	if err != nil || string(data) != "complete" || attempts.Load() != 2 {
+		t.Fatalf("got %q, %v after %d attempts; want the complete body on attempt 2", data, err, attempts.Load())
+	}
+}
+
+// readBody trusts Content-Length only to size its buffer: a missing, short
+// or long declaration still yields exactly the bytes that arrived.
+func TestReadBodyLengthMismatch(t *testing.T) {
+	body := strings.Repeat("x", 5000)
+	for _, declared := range []int64{-1, 0, 10, 4999, 5000, 5001, 1 << 40} {
+		resp := &http.Response{ContentLength: declared, Body: io.NopCloser(strings.NewReader(body))}
+		got, err := readBody(resp)
+		if err != nil || string(got) != body {
+			t.Errorf("Content-Length %d: %d bytes, %v", declared, len(got), err)
+		}
 	}
 }

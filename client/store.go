@@ -144,20 +144,12 @@ func (c *Client) OpByDigest(ctx context.Context, name string, opts *OpOptions, d
 	if err != nil {
 		return nil, err
 	}
-	path := "/op/" + url.PathEscape(name) + encodeQuery(opts.query())
-	data, err := c.do(ctx, http.MethodPost, path, ct, body)
-	if err != nil {
-		var serr *StatusError
-		if errors.As(err, &serr) && serr.Code == http.StatusNotFound {
-			return nil, fmt.Errorf("%w: %s", ErrNotStored, strings.TrimSpace(serr.Body))
-		}
-		return nil, err
+	e, err := c.postOp(ctx, name, "/op/"+url.PathEscape(name)+encodeQuery(opts.query()), ct, body)
+	var serr *StatusError
+	if errors.As(err, &serr) && serr.Code == http.StatusNotFound {
+		return nil, fmt.Errorf("%w: %s", ErrNotStored, strings.TrimSpace(serr.Body))
 	}
-	e, err := cube.Read(bytes.NewReader(data))
-	if err != nil {
-		return nil, fmt.Errorf("decoding %s result: %w", name, err)
-	}
-	return e, nil
+	return e, err
 }
 
 // DifferenceByDigest computes a − b from stored experiments.

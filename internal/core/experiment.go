@@ -564,33 +564,14 @@ func (e *Experiment) EachSeverity(fn func(m *Metric, c *CallNode, t *Thread, v f
 	}
 }
 
-// EachSeverityRow calls fn for every (metric, call node) pair that stores
-// at least one severity tuple, in enumeration order, with vals holding the
-// row's per-thread values densely (absent tuples as zero). vals is reused
-// between calls and is only valid for the duration of one call. Returning
-// false stops the iteration. This is the egress seam the fast XML writer
-// streams severity matrices from.
-func (e *Experiment) EachSeverityRow(fn func(mi, ci int, vals []float64) bool) {
+// SeverityColumns returns the severity function as its two sealed
+// columns: the packed keys (mi*nC + ci)*nT + ti in ascending order, with
+// nC and nT the call-node and thread counts (each clamped to at least 1),
+// and their non-zero values. The slices are the store's own and must not
+// be modified. This is the egress seam the writers of cubexml read.
+func (e *Experiment) SeverityColumns() (keys []uint64, vals []float64) {
 	b := e.sealedBlock()
-	nT := len(e.threads)
-	if nT == 0 || b.len() == 0 {
-		return
-	}
-	vals := make([]float64, nT)
-	for i := 0; i < b.len(); {
-		row := b.key[i] / b.nT // packed (metric, call node) of this row
-		for t := range vals {
-			vals[t] = 0
-		}
-		j := i
-		for ; j < b.len() && b.key[j]/b.nT == row; j++ {
-			vals[b.key[j]%b.nT] = b.val[j]
-		}
-		if !fn(int(row/b.nC), int(row%b.nC), vals) {
-			return
-		}
-		i = j
-	}
+	return b.key, b.val
 }
 
 // CompactSeverities seals pending severity writes into the sorted block

@@ -147,10 +147,10 @@ func Write(w io.Writer, e *core.Experiment) error {
 func WriteContext(ctx context.Context, w io.Writer, e *core.Experiment) error {
 	st, _ := obs.Begin(ctx, obs.Encode)
 	if !st.On() {
-		return write(w, e)
+		return writeFast(w, e)
 	}
 	cw := &countingWriter{w: w}
-	err := write(cw, e)
+	err := writeFast(cw, e)
 	st.Count(obs.XMLWriteBytes, cw.n)
 	if err == nil {
 		st.Count(obs.XMLWrites, 1)
@@ -162,75 +162,10 @@ func WriteContext(ctx context.Context, w io.Writer, e *core.Experiment) error {
 	return err
 }
 
-// write is the default encode path: the fast emitter of fastwrite.go,
-// which produces bytes identical to writeLegacy (the differential tests
-// in fastwrite_test.go hold it to that).
-func write(w io.Writer, e *core.Experiment) error {
-	return writeFast(w, e)
-}
-
-// writeLegacy is the original encoder-driven path, kept as the reference
-// implementation: it builds the full document including severity matrices
-// and hands it to encoding/xml.
-func writeLegacy(w io.Writer, e *core.Experiment) error {
-	doc, metricID, cnodeID := buildDocMeta(e)
-
-	// Severity: the dense 3-D array, one matrix per metric, one row per
-	// call node, one value per thread; all-zero rows and matrices are
-	// omitted to keep files compact (absent tuples read back as zero).
-	threads := e.Threads()
-	var sb strings.Builder
-	for _, m := range e.Metrics() {
-		mi := metricID[m]
-		var mx *xMatrix
-		for _, c := range e.CallNodes() {
-			ci := cnodeID[c]
-			nonZero := false
-			sb.Reset()
-			for ti, t := range threads {
-				v := e.Severity(m, c, t)
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					// The format carries no non-finite policy; reject at
-					// the boundary rather than emit a file other readers
-					// choke on (mirrors the check in decodeDoc).
-					return fmt.Errorf("cubexml: severity of metric %q at %q is %v; refusing to encode non-finite values",
-						m.Name, c.Path(), v)
-				}
-				if v != 0 {
-					nonZero = true
-				}
-				if ti > 0 {
-					sb.WriteByte(' ')
-				}
-				sb.WriteString(formatValue(v))
-			}
-			if !nonZero {
-				continue
-			}
-			if mx == nil {
-				doc.Matrices = append(doc.Matrices, xMatrix{Metric: mi})
-				mx = &doc.Matrices[len(doc.Matrices)-1]
-			}
-			mx.Rows = append(mx.Rows, xRow{CNode: ci, Values: sb.String()})
-		}
-	}
-
-	if _, err := io.WriteString(w, xml.Header); err != nil {
-		return err
-	}
-	enc := xml.NewEncoder(w)
-	enc.Indent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		return fmt.Errorf("cubexml: encode: %w", err)
-	}
-	_, err := io.WriteString(w, "\n")
-	return err
-}
-
 // buildDocMeta builds the document's metadata — everything except the
 // severity matrices — plus the id enumerations severity references use.
-// Shared by both writers so their id assignment is identical by
-// construction.
+// Shared by the writers and the reference writer of the tests, so their id
+// assignment is identical by construction.
 func buildDocMeta(e *core.Experiment) (xCube, map[*core.Metric]int, map[*core.CallNode]int) {
 	doc := xCube{Version: Version}
 	doc.Doc = xDoc{
@@ -354,10 +289,6 @@ func buildDocMeta(e *core.Experiment) (xCube, map[*core.Metric]int, map[*core.Ca
 	}
 
 	return doc, metricID, cnodeID
-}
-
-func formatValue(v float64) string {
-	return string(appendValue(nil, v))
 }
 
 // WriteFile writes the experiment to the named file.

@@ -78,6 +78,9 @@ func (e ReadEngine) String() string {
 type ReadOptions struct {
 	Limits Limits     // structural caps; zero fields disable the checks
 	Engine ReadEngine // parser selection; EngineAuto by default
+	// XMLOnly makes ReadBytes refuse columnar bodies: the service's
+	// uploads and its store hold CUBE XML only.
+	XMLOnly bool
 }
 
 // ReadWith parses a CUBE XML document from r under the given options,
@@ -89,12 +92,19 @@ func ReadWith(ctx context.Context, r io.Reader, opts ReadOptions) (*core.Experim
 	return e, err
 }
 
-// ReadBytes parses a complete CUBE XML document held in memory. Callers
-// that already own the bytes (the server's parse cache) skip the
-// buffering copy this way.
+// ReadBytes parses a complete document held in memory: CUBE XML, or a
+// columnar body (ColumnarType), which its magic line tells apart — no XML
+// document starts with it. Callers that already own the bytes (the
+// server's parse cache) skip the buffering copy this way.
 func ReadBytes(ctx context.Context, data []byte, opts ReadOptions) (*core.Experiment, error) {
 	st, _ := obs.Begin(ctx, obs.Parse)
-	e, err := readFast(nil, data, opts, &st, fastDecode, readLimited)
+	var e *core.Experiment
+	var err error
+	if !opts.XMLOnly && bytes.HasPrefix(data, []byte(columnarMagic)) {
+		e, err = readColumnar(data, opts, &st)
+	} else {
+		e, err = readFast(nil, data, opts, &st, fastDecode, readLimited)
+	}
 	endRead(&st, err)
 	return e, err
 }

@@ -3,6 +3,7 @@ package cubexml
 import (
 	"bytes"
 	"context"
+	"encoding/xml"
 	"fmt"
 	"io"
 	"math"
@@ -13,6 +14,69 @@ import (
 
 	"cube/internal/core"
 )
+
+// writeLegacy is the original encoder-driven writer, kept as the
+// reference implementation the writers are held to: it builds the full
+// document including severity matrices and hands it to encoding/xml.
+func writeLegacy(w io.Writer, e *core.Experiment) error {
+	doc, metricID, cnodeID := buildDocMeta(e)
+
+	// Severity: the dense 3-D array, one matrix per metric, one row per
+	// call node, one value per thread; all-zero rows and matrices are
+	// omitted to keep files compact (absent tuples read back as zero).
+	threads := e.Threads()
+	var sb strings.Builder
+	for _, m := range e.Metrics() {
+		mi := metricID[m]
+		var mx *xMatrix
+		for _, c := range e.CallNodes() {
+			ci := cnodeID[c]
+			nonZero := false
+			sb.Reset()
+			for ti, t := range threads {
+				v := e.Severity(m, c, t)
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					// The format carries no non-finite policy; reject at
+					// the boundary rather than emit a file other readers
+					// choke on (mirrors the check in decodeDoc).
+					return fmt.Errorf("cubexml: severity of metric %q at %q is %v; refusing to encode non-finite values",
+						m.Name, c.Path(), v)
+				}
+				if v != 0 {
+					nonZero = true
+				}
+				if ti > 0 {
+					sb.WriteByte(' ')
+				}
+				sb.WriteString(formatValue(v))
+			}
+			if !nonZero {
+				continue
+			}
+			if mx == nil {
+				doc.Matrices = append(doc.Matrices, xMatrix{Metric: mi})
+				mx = &doc.Matrices[len(doc.Matrices)-1]
+			}
+			mx.Rows = append(mx.Rows, xRow{CNode: ci, Values: sb.String()})
+		}
+	}
+
+	if _, err := io.WriteString(w, xml.Header); err != nil {
+		return err
+	}
+	enc := xml.NewEncoder(w)
+	enc.Indent("", "  ")
+	if err := enc.Encode(doc); err != nil {
+		return fmt.Errorf("cubexml: encode: %w", err)
+	}
+	_, err := io.WriteString(w, "\n")
+	return err
+}
+
+// formatValue is the legacy writer's value formatting, one string per value.
+func formatValue(v float64) string {
+	return string(appendValue(nil, v))
+}
 
 // checkWriteEquivalent asserts the fast writer produces byte-identical
 // output to the legacy encoding/xml writer, or fails with the same error.
@@ -247,5 +311,29 @@ func TestBenchDocInFastSubset(t *testing.T) {
 	}
 	if _, err := ReadBytes(context.Background(), data, ReadOptions{Limits: DefaultLimits, Engine: EngineFast}); err != nil {
 		t.Fatalf("benchmark document outside fast subset: %v", err)
+	}
+}
+
+// TestEncoderTail pins the encoder behaviour the writers splice into: the
+// metadata document of any experiment ends in an empty severity element
+// followed by the root's closing tag. encodeMeta fails the encode if it
+// ever does not.
+func TestEncoderTail(t *testing.T) {
+	escaping := core.New(`<title> & "more"`)
+	escaping.Attrs["k"] = "]]>"
+	for name, e := range map[string]*core.Experiment{"empty": core.New(""), "sample": sample(), "escaping": escaping} {
+		doc, _, _ := buildDocMeta(e)
+		var buf bytes.Buffer
+		enc := xml.NewEncoder(&buf)
+		enc.Indent("", "  ")
+		if err := enc.Encode(doc); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasSuffix(buf.String(), severityTail) {
+			t.Errorf("%s: metadata document ends %q, want %q", name, buf.String()[max(0, buf.Len()-40):], severityTail)
+		}
+		if _, err := encodeMeta(e); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }

@@ -56,6 +56,8 @@ type EventFields struct {
 	XMLReadBytes   int64  `json:"xml_read_bytes,omitempty"`
 	XMLReadElems   int64  `json:"xml_read_elements,omitempty"`
 	XMLWriteBytes  int64  `json:"xml_write_bytes,omitempty"`
+	// ColumnarWriteBytes is the columnar response body's size (cubexml.ColumnarType).
+	ColumnarWriteBytes int64 `json:"columnar_write_bytes,omitempty"`
 
 	// Cache and store interactions.
 	ParseCacheHits   int64 `json:"parse_cache_hits,omitempty"`
@@ -94,7 +96,7 @@ type EventFields struct {
 	AccumulateMS  float64 `json:"accumulate_ms,omitempty"`  // kernel: shards combining operands
 	MaterializeMS float64 `json:"materialize_ms,omitempty"` // kernel: result block gathered
 	RenderMS      float64 `json:"render_ms,omitempty"`      // text displays (/view, /report, /info)
-	EncodeMS      float64 `json:"encode_ms,omitempty"`      // XML encode
+	EncodeMS      float64 `json:"encode_ms,omitempty"`      // response encode, XML or columnar
 	StoreMS       float64 `json:"store_ms,omitempty"`       // durable store writes
 
 	// HTTP response / client call shape.

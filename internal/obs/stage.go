@@ -176,6 +176,9 @@ var (
 	XMLLimitRejections = counter("", "cube_xml_limit_rejections_total")
 	XMLWrites          = counter("", "cube_xml_writes_total") // Encode
 	XMLWriteBytes      = spanned("bytes", counter("xml_write_bytes", "cube_xml_write_bytes_total"))
+	// Columnar response bodies count in the same families, labelled.
+	ColumnarWrites     = counter("", "cube_xml_writes_total", L("format", "columnar"))
+	ColumnarWriteBytes = spanned("bytes", counter("columnar_write_bytes", "cube_xml_write_bytes_total", L("format", "columnar")))
 	ParseCacheHits     = counter("parse_cache_hits", "cube_parse_cache_hits_total") // ParseCache
 	ParseCacheMisses   = counter("parse_cache_misses", "cube_parse_cache_misses_total")
 	LowerCacheHits     = counter("lower_cache_hits", "cube_lower_cache_hits_total")

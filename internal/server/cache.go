@@ -89,7 +89,7 @@ func (pc *parseCache) lookup(ctx context.Context, d store.Digest, load func() ([
 			return parsed{}, 0, err
 		}
 		st.Count(obs.ParseCacheMisses, 1)
-		master, err := cubexml.ReadBytes(ctx, data, cubexml.ReadOptions{Limits: pc.limits, Engine: pc.engine})
+		master, err := cubexml.ReadBytes(ctx, data, cubexml.ReadOptions{Limits: pc.limits, Engine: pc.engine, XMLOnly: true})
 		if err != nil {
 			return parsed{}, 0, err
 		}

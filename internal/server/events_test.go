@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"cube/internal/cubexml"
 	"cube/internal/obs"
 	"cube/internal/store"
 )
@@ -91,6 +92,16 @@ func TestEveryResponseEmitsOneWideEvent(t *testing.T) {
 	}
 	if f.ResponseBytes != f.XMLWriteBytes {
 		t.Errorf("response_bytes = %d, xml_write_bytes = %d", f.ResponseBytes, f.XMLWriteBytes)
+	}
+	// The columnar body is counted by its own twin.
+	fc := do(http.StatusOK, func() *http.Response {
+		return postAccept(t, srv, "/op/difference", cubexml.ColumnarType, buildExp("a", 1), buildExp("b", 0))
+	})
+	if fc.ColumnarWriteBytes <= 0 || fc.XMLWriteBytes != 0 || fc.EncodeMS <= 0 {
+		t.Errorf("columnar codec attribution: %+v", fc)
+	}
+	if fc.ResponseBytes != fc.ColumnarWriteBytes {
+		t.Errorf("response_bytes = %d, columnar_write_bytes = %d", fc.ResponseBytes, fc.ColumnarWriteBytes)
 	}
 	// The default config has a parse cache: two fresh operands miss twice.
 	if f.ParseCacheMisses != 2 || f.ParseCacheHits != 0 {

@@ -139,34 +139,40 @@ func (s *service) exprHeaders(w http.ResponseWriter, stats expr.Stats) {
 }
 
 // writeExperimentParts answers a batched expression with a multipart/mixed
-// body carrying one CUBE XML part per root, in root order. Like
-// writeExperiment, every document is encoded before the first response
-// byte, so encoding failures become a clean 500 rather than a truncated
-// multipart stream.
+// body carrying one document per root, in root order, each in the
+// negotiated format. Like writeExperiment, every document is encoded
+// before the first response byte, so encoding failures become a clean 500
+// rather than a truncated multipart stream.
 func (s *service) writeExperimentParts(w http.ResponseWriter, r *http.Request, results []*core.Experiment) {
-	var body bytes.Buffer
-	mw := multipart.NewWriter(&body)
+	f := responseFormat(r)
+	parts := make([][]byte, len(results))
+	size := 0
 	for i, e := range results {
-		var buf bytes.Buffer
-		if err := cubexml.WriteContext(r.Context(), &buf, e); err != nil {
+		var err error
+		if parts[i], err = cubexml.Encode(r.Context(), e, f); err != nil {
 			s.logError(r.Context(), "encoding result experiment",
 				slog.String("title", e.Title), slog.Any("err", err))
 			httpError(w, r, http.StatusInternalServerError, "encoding root %d: %v", i, err)
 			return
 		}
-		hdr := make(textproto.MIMEHeader)
-		hdr.Set("Content-Type", "application/xml; charset=utf-8")
+		size += len(parts[i])
+	}
+	hdr := textproto.MIMEHeader{"Content-Type": {f.ContentType()}}
+	// Per part, the boundary line (60-byte boundary) and the Content-Type
+	// header take under 128 bytes besides the type itself.
+	body := bytes.NewBuffer(make([]byte, 0, size+len(parts)*(128+len(f.ContentType()))+128))
+	mw := multipart.NewWriter(body)
+	for _, part := range parts {
 		pw, err := mw.CreatePart(hdr)
 		if err != nil {
 			httpError(w, r, http.StatusInternalServerError, "assembling multipart response: %v", err)
 			return
 		}
-		buf.WriteTo(pw)
+		pw.Write(part)
 	}
 	mw.Close()
 	w.Header().Set("Content-Type", "multipart/mixed; boundary="+mw.Boundary())
-	w.Header().Set("Content-Length", strconv.Itoa(body.Len()))
-	body.WriteTo(w)
+	writeBody(w, body.Bytes())
 }
 
 // planExpr parses and canonicalizes the expression document against the
@@ -255,7 +261,7 @@ func (s *service) resolveDigestLeaf(ctx context.Context, d store.Digest, pinned 
 	} else if data, rerr := read(); rerr != nil {
 		err = rerr
 	} else {
-		e, err = cubexml.ReadBytes(ctx, data, cubexml.ReadOptions{Limits: s.cfg.XML, Engine: s.cfg.ReadEngine})
+		e, err = cubexml.ReadBytes(ctx, data, cubexml.ReadOptions{Limits: s.cfg.XML, Engine: s.cfg.ReadEngine, XMLOnly: true})
 	}
 	if err == nil && size < 0 {
 		size, _ = st.Stat(d) // pinned, so still indexed
@@ -273,7 +279,7 @@ func (s *service) sharedExperiment(ctx context.Context, d store.Digest, data []b
 	if s.cache != nil {
 		return s.cache.shared(ctx, d, bytesLoader(data))
 	}
-	return cubexml.ReadBytes(ctx, data, cubexml.ReadOptions{Limits: s.cfg.XML, Engine: s.cfg.ReadEngine})
+	return cubexml.ReadBytes(ctx, data, cubexml.ReadOptions{Limits: s.cfg.XML, Engine: s.cfg.ReadEngine, XMLOnly: true})
 }
 
 // unpin releases the store pins a request's resolution took.

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"log/slog"
@@ -554,7 +553,7 @@ func (s *service) withLimit(h http.Handler) http.Handler {
 type bufferWriter struct {
 	mu   sync.Mutex
 	hdr  http.Header
-	buf  bytes.Buffer
+	body []byte
 	code int
 }
 
@@ -569,12 +568,25 @@ func (t *bufferWriter) WriteHeader(code int) {
 }
 
 func (t *bufferWriter) Write(p []byte) (int, error) {
+	t.write(p, false)
+	return len(p), nil
+}
+
+// adopt takes body over as the response body without copying it: the
+// caller must not touch body again. (Write may not keep p, so it copies.)
+func (t *bufferWriter) adopt(body []byte) { t.write(body, true) }
+
+func (t *bufferWriter) write(p []byte, own bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.code == 0 {
 		t.code = http.StatusOK
 	}
-	return t.buf.Write(p)
+	if own && t.body == nil {
+		t.body = p
+	} else {
+		t.body = append(t.body, p...)
+	}
 }
 
 func (t *bufferWriter) flushTo(w http.ResponseWriter) {
@@ -588,7 +600,7 @@ func (t *bufferWriter) flushTo(w http.ResponseWriter) {
 		code = http.StatusOK
 	}
 	w.WriteHeader(code)
-	w.Write(t.buf.Bytes())
+	w.Write(t.body)
 }
 
 // withTimeout bounds each request's wall-clock time. The deadline is

@@ -367,20 +367,70 @@ func ctxDone(w http.ResponseWriter, r *http.Request) bool {
 	return false
 }
 
-// writeExperiment encodes the result into a buffer first so a successful
-// status line always carries a complete document (and Content-Length);
-// encoding failures become a clean 500 instead of a corrupted 200.
+// writeExperiment encodes the result into one buffer first so a
+// successful status line always carries a complete document (and
+// Content-Length); encoding failures become a clean 500 instead of a
+// corrupted 200. The body is columnar when the request accepts it
+// (responseFormat), CUBE XML otherwise.
 func (s *service) writeExperiment(w http.ResponseWriter, r *http.Request, e *core.Experiment) {
-	var buf bytes.Buffer
-	if err := cubexml.WriteContext(r.Context(), &buf, e); err != nil {
+	f := responseFormat(r)
+	body, err := cubexml.Encode(r.Context(), e, f)
+	if err != nil {
 		s.logError(r.Context(), "encoding result experiment",
 			slog.String("title", e.Title), slog.Any("err", err))
 		httpError(w, r, http.StatusInternalServerError, "encoding result: %v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	buf.WriteTo(w)
+	w.Header().Set("Content-Type", f.ContentType())
+	writeBody(w, body)
+}
+
+// responseFormat negotiates the body of a computed experiment: the
+// columnar body when an Accept element names its media type without
+// refusing it (q=0), CUBE XML otherwise. A scan of the header, with no
+// allocation.
+func responseFormat(r *http.Request) cubexml.Format {
+	for _, accept := range r.Header["Accept"] {
+		for accept != "" {
+			var elem string
+			elem, accept, _ = strings.Cut(accept, ",")
+			mt, params, _ := strings.Cut(elem, ";")
+			if !strings.EqualFold(strings.TrimSpace(mt), cubexml.ColumnarType) {
+				continue
+			}
+			if refused(params) {
+				return cubexml.FormatXML
+			}
+			return cubexml.FormatColumnar
+		}
+	}
+	return cubexml.FormatXML
+}
+
+// refused reports whether the parameters of an Accept element set its
+// quality to zero.
+func refused(params string) bool {
+	for params != "" {
+		var p string
+		p, params, _ = strings.Cut(params, ";")
+		k, v, _ := strings.Cut(p, "=")
+		if strings.EqualFold(strings.TrimSpace(k), "q") {
+			v = strings.TrimRight(strings.TrimSpace(v), "0")
+			return v == "" || v == "0."
+		}
+	}
+	return false
+}
+
+// writeBody sends a complete response body with its Content-Length. The
+// timeout middleware's buffer takes the body over instead of copying it.
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	if bw, ok := w.(*bufferWriter); ok {
+		bw.adopt(body)
+		return
+	}
+	w.Write(body)
 }
 
 // handleOp applies one operator: POST /op/{op} is the one-node expression

@@ -32,6 +32,12 @@ func buildExp(title string, extraWait float64) *core.Experiment {
 // post sends experiments as multipart operands and returns the response.
 func post(t *testing.T, srv *httptest.Server, path string, exps ...*core.Experiment) *http.Response {
 	t.Helper()
+	return postAccept(t, srv, path, "", exps...)
+}
+
+// postAccept is post with an Accept header (none when accept is "").
+func postAccept(t *testing.T, srv *httptest.Server, path, accept string, exps ...*core.Experiment) *http.Response {
+	t.Helper()
 	var body bytes.Buffer
 	mw := multipart.NewWriter(&body)
 	for i, e := range exps {
@@ -44,7 +50,21 @@ func post(t *testing.T, srv *httptest.Server, path string, exps ...*core.Experim
 		}
 	}
 	mw.Close()
-	resp, err := http.Post(srv.URL+path, mw.FormDataContentType(), &body)
+	return send(t, srv.URL+path, mw.FormDataContentType(), accept, body.Bytes())
+}
+
+// send POSTs body with an Accept header (none when accept is "").
+func send(t *testing.T, url, contentType, accept string, body []byte) *http.Response {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", contentType)
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}

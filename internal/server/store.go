@@ -151,7 +151,7 @@ func (s *service) handleExperimentPut(w http.ResponseWriter, r *http.Request) {
 	if s.cache != nil {
 		_, err = s.cache.lookup(r.Context(), d, bytesLoader(data), false)
 	} else {
-		_, err = cubexml.ReadBytes(r.Context(), data, cubexml.ReadOptions{Limits: s.cfg.XML, Engine: s.cfg.ReadEngine})
+		_, err = cubexml.ReadBytes(r.Context(), data, cubexml.ReadOptions{Limits: s.cfg.XML, Engine: s.cfg.ReadEngine, XMLOnly: true})
 	}
 	if err != nil {
 		if errors.Is(err, cubexml.ErrLimit) {
