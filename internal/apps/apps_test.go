@@ -3,6 +3,7 @@ package apps
 import (
 	"testing"
 
+	"cube/internal/core"
 	"cube/internal/expert"
 	"cube/internal/mpisim"
 	"cube/internal/trace"
@@ -283,12 +284,24 @@ func TestSweep3DPipelineFill(t *testing.T) {
 		t.Fatalf("no late-sender waiting in a wavefront sweep")
 	}
 	// Rank 15 (far corner for octant 0) waits more than rank 0 (origin).
-	far := e.ThreadTotal(ls, e.FindThread(15, 0))
-	near := e.ThreadTotal(ls, e.FindThread(0, 0))
+	far := threadTotal(e, ls, e.FindThread(15, 0))
+	near := threadTotal(e, ls, e.FindThread(0, 0))
 	wrong := e.FindMetricByName(expert.MetricWrongOrder)
-	far += e.ThreadTotal(wrong, e.FindThread(15, 0))
-	near += e.ThreadTotal(wrong, e.FindThread(0, 0))
+	far += threadTotal(e, wrong, e.FindThread(15, 0))
+	near += threadTotal(e, wrong, e.FindThread(0, 0))
 	if far <= near {
 		t.Errorf("pipeline fill: far corner %v should wait more than origin %v", far, near)
 	}
+}
+
+// threadTotal returns metric m's severity at thread t over every call path:
+// the roll-up of each call tree, collapsed.
+func threadTotal(e *core.Experiment, m *core.Metric, t *core.Thread) float64 {
+	ti, _ := e.ThreadIndex(t)
+	var s float64
+	for _, root := range e.CallRoots() {
+		_, byThread := e.RollUp(m, false, root, true)
+		s += byThread[ti]
+	}
+	return s
 }

@@ -623,30 +623,62 @@ func (e *Experiment) MetricInclusive(m *Metric) float64 {
 	return s
 }
 
-// CallInclusive returns, for metric m (exclusive), the severity summed over
-// call node c and all of c's descendants and all threads — the value a
-// display shows for a collapsed call node.
-func (e *Experiment) CallInclusive(m *Metric, c *CallNode) float64 {
-	var s float64
-	c.Walk(func(d *CallNode) { s += e.MetricValue(m, d) })
-	return s
-}
-
-// ThreadTotal returns the severity of metric m at thread t summed over all
-// call paths.
-func (e *Experiment) ThreadTotal(m *Metric, t *Thread) float64 {
-	var s float64
-	for _, c := range e.CallNodes() {
-		s += e.Severity(m, c, t)
+// RollUp returns a display selection's severity from one pass over the
+// sealed block. The metric selection is m, or m's subtree when
+// metricSubtree is set; the call selection is c, c's subtree when
+// callSubtree is set, or empty for a nil (or unregistered) c.
+//
+//   - byCall[i] is the selected metrics' exclusive value at CallNodes()[i]
+//     summed over all threads, whatever the call selection.
+//   - byThread[i] is the value of the metric and call selection at
+//     Threads()[i].
+//
+// Subtrees are contiguous in the pre-order enumerations, so the selected
+// metrics' tuples are one key range and the selected call nodes one index
+// range. The sums keep the grouping of a per-node walk bit for bit: each
+// (metric, call node) row sums from zero over its threads and byCall adds
+// the rows in ascending metric order; byThread adds values in ascending
+// (metric, call node) order.
+func (e *Experiment) RollUp(m *Metric, metricSubtree bool, c *CallNode, callSubtree bool) (byCall, byThread []float64) {
+	b := e.sealedBlock()
+	byCall = make([]float64, len(e.cnodes))
+	byThread = make([]float64, len(e.threads))
+	mLo, mHi := span(e.metricIndex, m, metricSubtree)
+	cLo, cHi := span(e.cnodeIndex, c, callSubtree)
+	hi := mHi * b.nC * b.nT
+	i, _ := slices.BinarySearch(b.key, mLo*b.nC*b.nT)
+	for i < len(b.key) && b.key[i] < hi {
+		r := b.key[i] / b.nT
+		ci := r % b.nC
+		selected := ci >= cLo && ci < cHi
+		var row float64
+		for ; i < len(b.key) && b.key[i]/b.nT == r; i++ {
+			row += b.val[i]
+			if selected {
+				byThread[b.key[i]%b.nT] += b.val[i]
+			}
+		}
+		byCall[ci] += row
 	}
-	return s
+	return byCall, byThread
 }
 
-// GrandTotal returns the severity summed over every metric of the tree
-// rooted at root, every call path and every thread. For a root "Time"
-// metric this is the total accumulated time of the run.
-func (e *Experiment) GrandTotal(root *Metric) float64 {
-	return e.MetricInclusive(root)
+// span returns the enumeration index range of n, or of n's subtree; it is
+// empty when n is not registered.
+func span[T interface {
+	comparable
+	Walk(func(T))
+}](index map[T]int, n T, subtree bool) (lo, hi uint64) {
+	i, ok := index[n]
+	if !ok {
+		return 0, 0
+	}
+	lo, hi = uint64(i), uint64(i)+1
+	if subtree {
+		hi = lo
+		n.Walk(func(T) { hi++ })
+	}
+	return lo, hi
 }
 
 // --- Dense snapshot ---------------------------------------------------------

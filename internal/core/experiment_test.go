@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -145,19 +147,71 @@ func TestAggregations(t *testing.T) {
 	if got := e.MetricInclusive(comm); got != 1.5 {
 		t.Errorf("MetricInclusive(comm) = %v", got)
 	}
-	// CallInclusive at root for Time = 12 (whole call tree).
-	if got := e.CallInclusive(time, root); got != 12 {
-		t.Errorf("CallInclusive = %v", got)
+	// A collapsed call node sums its pre-order subtree range of byCall:
+	// Time at main = 12 (whole call tree).
+	byCall, byThread := e.RollUp(time, false, root, true)
+	if got := byCall[0] + byCall[1] + byCall[2]; got != 12 {
+		t.Errorf("collapsed main = %v", got)
 	}
-	if got := e.CallInclusive(wait, recv); got != 0.5 {
-		t.Errorf("CallInclusive(wait,recv) = %v", got)
+	if byCall, _ := e.RollUp(wait, false, recv, false); byCall[2] != 0.5 {
+		t.Errorf("byCall(wait)[recv] = %v", byCall[2])
 	}
-	// ThreadTotal for thread 2: 0.5 + 3 = 3.5.
-	if got := e.ThreadTotal(time, e.Threads()[2]); got != 3.5 {
-		t.Errorf("ThreadTotal = %v", got)
+	// Thread 2 over the whole call tree: 0.5 + 3 = 3.5.
+	if got := byThread[2]; got != 3.5 {
+		t.Errorf("byThread[2] = %v", got)
 	}
-	if got := e.GrandTotal(time); got != 13.5 {
-		t.Errorf("GrandTotal = %v", got)
+}
+
+// callInclusive and threadTotal are the per-node walks RollUp replaced:
+// metric m (exclusive) summed over c's call subtree and all threads, and
+// over all call paths at thread t.
+func callInclusive(e *Experiment, m *Metric, c *CallNode) float64 {
+	var s float64
+	c.Walk(func(d *CallNode) { s += e.MetricValue(m, d) })
+	return s
+}
+
+func threadTotal(e *Experiment, m *Metric, t *Thread) float64 {
+	var s float64
+	for _, c := range e.CallNodes() {
+		s += e.Severity(m, c, t)
+	}
+	return s
+}
+
+// TestRollUpMatchesWalks checks RollUp of every single metric against the
+// per-node walks, bit for bit, on a difference-like store with rounding
+// sums; an unregistered or nil call node selects nothing.
+func TestRollUpMatchesWalks(t *testing.T) {
+	e := buildSmall("t")
+	for i, th := range e.Threads() {
+		e.SetSeverity(e.FindMetricByName("Visits"), e.FindCallNode("main/compute"), th, -0.1*float64(i+1))
+	}
+	root := e.CallRoots()[0]
+	for _, m := range e.Metrics() {
+		byCall, byThread := e.RollUp(m, false, root, true)
+		for i, c := range e.CallNodes() {
+			if want := e.MetricValue(m, c); math.Float64bits(byCall[i]) != math.Float64bits(want) {
+				t.Errorf("%s: byCall[%s] = %v, want %v", m.Name, c.Path(), byCall[i], want)
+			}
+		}
+		var sum float64
+		for _, v := range byCall {
+			sum += v
+		}
+		if want := callInclusive(e, m, root); math.Float64bits(sum) != math.Float64bits(want) {
+			t.Errorf("%s: collapsed root = %v, want %v", m.Name, sum, want)
+		}
+		for i, th := range e.Threads() {
+			if want := threadTotal(e, m, th); math.Float64bits(byThread[i]) != math.Float64bits(want) {
+				t.Errorf("%s: byThread[%d] = %v, want %v", m.Name, i, byThread[i], want)
+			}
+		}
+		for _, c := range []*CallNode{nil, NewCallNode(root.Site)} {
+			if _, byThread := e.RollUp(m, true, c, true); slices.ContainsFunc(byThread, func(v float64) bool { return v != 0 }) {
+				t.Errorf("%s: call selection %v is not empty: %v", m.Name, c, byThread)
+			}
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -53,14 +54,7 @@ func (t *Topology) RankAt(coord ...int) int {
 		return -1
 	}
 	for rank, c := range t.Coords {
-		match := true
-		for i := range c {
-			if c[i] != coord[i] {
-				match = false
-				break
-			}
-		}
-		if match {
+		if slices.Equal(c, coord) {
 			return rank
 		}
 	}

@@ -23,6 +23,7 @@ package display
 import (
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"cube/internal/core"
@@ -103,62 +104,77 @@ func MetricLabel(e *core.Experiment, m *core.Metric, collapsed bool) float64 {
 	return e.MetricTotal(m)
 }
 
-// selMetricValue returns the severity at call node c (exclusive along the
-// call tree) for the metric selection.
-func selMetricValue(e *core.Experiment, sel Selection, c *core.CallNode) float64 {
-	if !sel.MetricCollapsed {
-		return e.MetricValue(sel.Metric, c)
+// Rollup is one selection's severity from core.Experiment.RollUp: the
+// only source of the call and system trees' values. ByCall holds the
+// selected metrics' exclusive value per call node and ByThread the full
+// selection's value per thread, indexed like CallNodes() and Threads().
+type Rollup struct {
+	e                *core.Experiment
+	ByCall, ByThread []float64
+}
+
+// NewRollup rolls the selection up in one pass over the severity store. A
+// nil call node selects nothing: every thread reads zero.
+func NewRollup(e *core.Experiment, sel Selection) Rollup {
+	byCall, byThread := e.RollUp(sel.Metric, sel.MetricCollapsed, sel.CNode, sel.CNodeCollapsed)
+	return Rollup{e: e, ByCall: byCall, ByThread: byThread}
+}
+
+// Call returns the value shown at a call-tree node for the metric
+// selection: exclusive when expanded, the sum over the node's pre-order
+// subtree range when collapsed.
+func (v Rollup) Call(c *core.CallNode, collapsed bool) float64 {
+	i, ok := v.e.CallNodeIndex(c)
+	if !ok {
+		return 0
 	}
+	n := 1
+	if collapsed {
+		n = 0
+		c.Walk(func(*core.CallNode) { n++ })
+	}
+	return sum(v.ByCall[i : i+n])
+}
+
+// Total returns the value of the full selection summed over the entire
+// system — the number the paper quotes as e.g. "13.2 % of the execution
+// time" when combined with Percent mode.
+func (v Rollup) Total() float64 { return sum(v.ByThread) }
+
+// ByRank returns the selection's value per process rank and the largest
+// magnitude among them.
+func (v Rollup) ByRank() (byRank map[int]float64, maxAbs float64) {
+	byRank = make(map[int]float64, len(v.e.Processes()))
+	ti := 0
+	for _, p := range v.e.Processes() {
+		n := len(p.Threads())
+		byRank[p.Rank] = sum(v.ByThread[ti : ti+n])
+		maxAbs = max(maxAbs, math.Abs(byRank[p.Rank]))
+		ti += n
+	}
+	return byRank, maxAbs
+}
+
+// sum adds xs in order, starting from zero.
+func sum(xs []float64) float64 {
 	var s float64
-	sel.Metric.Walk(func(d *core.Metric) { s += e.MetricValue(d, c) })
+	for _, x := range xs {
+		s += x
+	}
 	return s
 }
 
-// CallLabel returns the value shown at a call-tree node for the current
-// metric selection: exclusive when expanded, inclusive over the call
-// subtree when collapsed.
-func CallLabel(e *core.Experiment, sel Selection, c *core.CallNode, collapsed bool) float64 {
-	if !collapsed {
-		return selMetricValue(e, sel, c)
-	}
-	var s float64
-	c.Walk(func(d *core.CallNode) { s += selMetricValue(e, sel, d) })
-	return s
-}
-
-// ThreadValue returns the severity of the current metric and call-path
-// selection at thread t.
-func ThreadValue(e *core.Experiment, sel Selection, t *core.Thread) float64 {
-	var metrics []*core.Metric
-	if sel.MetricCollapsed {
-		sel.Metric.Walk(func(d *core.Metric) { metrics = append(metrics, d) })
-	} else {
-		metrics = []*core.Metric{sel.Metric}
-	}
-	var cnodes []*core.CallNode
-	if sel.CNodeCollapsed {
-		sel.CNode.Walk(func(d *core.CallNode) { cnodes = append(cnodes, d) })
-	} else {
-		cnodes = []*core.CallNode{sel.CNode}
-	}
-	var s float64
-	for _, m := range metrics {
-		for _, c := range cnodes {
-			s += e.Severity(m, c, t)
+// threadsIn counts the threads of the given system nodes. Threads() lists
+// them in machine/node/process order, so a machine's, node's or process's
+// threads are one contiguous index range.
+func threadsIn(nodes ...*core.SystemNode) int {
+	n := 0
+	for _, nd := range nodes {
+		for _, p := range nd.Processes() {
+			n += len(p.Threads())
 		}
 	}
-	return s
-}
-
-// SelectedTotal returns the value of the full current selection summed over
-// the entire system — the number the paper quotes as e.g. "13.2 % of the
-// execution time" when combined with Percent mode.
-func SelectedTotal(e *core.Experiment, sel Selection) float64 {
-	var s float64
-	for _, t := range e.Threads() {
-		s += ThreadValue(e, sel, t)
-	}
-	return s
+	return n
 }
 
 // --- Rendering -----------------------------------------------------------------
@@ -168,6 +184,7 @@ type renderer struct {
 	e    *core.Experiment
 	sel  Selection
 	cfg  Config
+	v    Rollup
 	base float64 // 100% reference for the current tree
 	err  error
 }
@@ -279,9 +296,9 @@ func Render(w io.Writer, e *core.Experiment, sel Selection, cfg *Config) error {
 	}
 
 	// --- Call tree ---
-	selVal := SelectedTotal(e, sel)
+	r.v = NewRollup(e, sel)
 	r.base = r.treeBase()
-	r.printf("\nCall tree (metric: %s = %s)\n", sel.Metric.Name, strings.TrimSpace(r.value(selVal, sel.Metric.Unit)))
+	r.printf("\nCall tree (metric: %s = %s)\n", sel.Metric.Name, strings.TrimSpace(r.value(r.v.Total(), sel.Metric.Unit)))
 	for _, root := range e.CallRoots() {
 		r.renderCall(root, 0)
 	}
@@ -299,37 +316,23 @@ func Render(w io.Writer, e *core.Experiment, sel Selection, cfg *Config) error {
 			break
 		}
 	}
+	unit := sel.Metric.Unit
+	ti := 0 // index of the next thread in Threads()
 	for _, mach := range e.Machines() {
-		var machTotal float64
+		r.row(0, sum(r.v.ByThread[ti:ti+threadsIn(mach.Nodes()...)]), unit, false, "machine "+mach.Name)
 		for _, nd := range mach.Nodes() {
+			r.row(1, sum(r.v.ByThread[ti:ti+threadsIn(nd)]), unit, false, "node "+nd.Name)
 			for _, p := range nd.Processes() {
-				for _, t := range p.Threads() {
-					machTotal += ThreadValue(e, sel, t)
-				}
-			}
-		}
-		r.row(0, machTotal, sel.Metric.Unit, false, "machine "+mach.Name)
-		for _, nd := range mach.Nodes() {
-			var ndTotal float64
-			for _, p := range nd.Processes() {
-				for _, t := range p.Threads() {
-					ndTotal += ThreadValue(e, sel, t)
-				}
-			}
-			r.row(1, ndTotal, sel.Metric.Unit, false, "node "+nd.Name)
-			for _, p := range nd.Processes() {
-				var pTotal float64
-				for _, t := range p.Threads() {
-					pTotal += ThreadValue(e, sel, t)
-				}
-				r.row(2, pTotal, sel.Metric.Unit, false, p.String())
+				vals := r.v.ByThread[ti : ti+len(p.Threads())]
+				r.row(2, sum(vals), unit, false, p.String())
 				if !singleThreaded {
 					// The thread level of single-threaded applications
 					// is hidden.
-					for _, t := range p.Threads() {
-						r.row(3, ThreadValue(e, sel, t), sel.Metric.Unit, false, fmt.Sprintf("thread %d", t.ID))
+					for k, t := range p.Threads() {
+						r.row(3, vals[k], unit, false, fmt.Sprintf("thread %d", t.ID))
 					}
 				}
+				ti += len(vals)
 			}
 		}
 	}
@@ -385,8 +388,8 @@ func (r *renderer) renderMetric(m *core.Metric, depth int) {
 
 func (r *renderer) renderCall(c *core.CallNode, depth int) {
 	collapsed := r.collapsed(c.Path()) || len(c.Children()) == 0
-	v := CallLabel(r.e, r.sel, c, collapsed)
-	if r.cfg.HideZero && CallLabel(r.e, r.sel, c, true) == 0 {
+	v := r.v.Call(c, collapsed)
+	if r.cfg.HideZero && r.v.Call(c, true) == 0 {
 		return
 	}
 	selected := c == r.sel.CNode

@@ -60,19 +60,19 @@ func TestCallLabelSemantics(t *testing.T) {
 	e := build()
 	time := e.FindMetricByName("Time")
 	root := e.FindCallNode("main")
-	selExpanded := Selection{Metric: time} // expanded: only Time itself
-	if got := CallLabel(e, selExpanded, root, false); got != 2 {
+	expanded := NewRollup(e, Selection{Metric: time}) // expanded: only Time itself
+	if got := expanded.Call(root, false); got != 2 {
 		t.Errorf("root label (expanded metric, expanded cnode) = %v, want 2", got)
 	}
-	if got := CallLabel(e, selExpanded, root, true); got != 10 {
+	if got := expanded.Call(root, true); got != 10 {
 		t.Errorf("root label (collapsed cnode) = %v, want 10", got)
 	}
-	selCollapsed := Selection{Metric: time, MetricCollapsed: true} // whole metric subtree
-	if got := CallLabel(e, selCollapsed, root, true); got != 16 {
+	collapsed := NewRollup(e, Selection{Metric: time, MetricCollapsed: true}) // whole metric subtree
+	if got := collapsed.Call(root, true); got != 16 {
 		t.Errorf("root label (collapsed metric+cnode) = %v, want 16", got)
 	}
 	recv := e.FindCallNode("main/MPI_Recv")
-	if got := CallLabel(e, selCollapsed, recv, false); got != 6 {
+	if got := collapsed.Call(recv, false); got != 6 {
 		t.Errorf("recv label = %v, want 6", got)
 	}
 }
@@ -81,19 +81,18 @@ func TestThreadValueAndSelectedTotal(t *testing.T) {
 	e := build()
 	wait := e.FindMetricByName("Wait")
 	recv := e.FindCallNode("main/MPI_Recv")
-	th := e.Threads()[0]
-	sel := Selection{Metric: wait, CNode: recv}
-	if got := ThreadValue(e, sel, th); got != 1 {
-		t.Errorf("ThreadValue = %v, want 1", got)
+	v := NewRollup(e, Selection{Metric: wait, CNode: recv})
+	if got := v.ByThread[0]; got != 1 {
+		t.Errorf("ByThread[0] = %v, want 1", got)
 	}
-	if got := SelectedTotal(e, sel); got != 2 {
-		t.Errorf("SelectedTotal = %v, want 2", got)
+	if got := v.Total(); got != 2 {
+		t.Errorf("Total = %v, want 2", got)
 	}
 	// Collapsed call selection aggregates the subtree.
 	root := e.FindCallNode("main")
-	selAll := Selection{Metric: e.FindMetricByName("Time"), MetricCollapsed: true,
-		CNode: root, CNodeCollapsed: true}
-	if got := SelectedTotal(e, selAll); got != 16 {
+	all := NewRollup(e, Selection{Metric: e.FindMetricByName("Time"), MetricCollapsed: true,
+		CNode: root, CNodeCollapsed: true})
+	if got := all.Total(); got != 16 {
 		t.Errorf("fully collapsed total = %v, want 16", got)
 	}
 }

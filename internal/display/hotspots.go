@@ -42,9 +42,10 @@ func Hotspots(e *core.Experiment, sel Selection, n int) []Hotspot {
 	}
 	var out []Hotspot
 	for _, m := range metrics {
-		for _, c := range e.CallNodes() {
-			if v := e.MetricValue(m, c); v != 0 {
-				out = append(out, Hotspot{Metric: m, CNode: c, Value: v})
+		byCall, _ := e.RollUp(m, false, nil, false)
+		for ci, v := range byCall {
+			if v != 0 {
+				out = append(out, Hotspot{Metric: m, CNode: e.CallNodes()[ci], Value: v})
 			}
 		}
 	}

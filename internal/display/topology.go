@@ -32,19 +32,7 @@ func RenderTopology(w io.Writer, e *core.Experiment, sel Selection, cfg *Config)
 		sel.MetricCollapsed = true
 	}
 
-	// Per-rank value of the selection.
-	value := map[int]float64{}
-	var maxAbs float64
-	for _, p := range e.Processes() {
-		var v float64
-		for _, th := range p.Threads() {
-			v += ThreadValue(e, sel, th)
-		}
-		value[p.Rank] = v
-		if a := math.Abs(v); a > maxAbs {
-			maxAbs = a
-		}
-	}
+	value, maxAbs := NewRollup(e, sel).ByRank()
 
 	cnodeLabel := "entire program"
 	if sel.CNode != nil {
@@ -72,21 +60,6 @@ func RenderTopology(w io.Writer, e *core.Experiment, sel Selection, cfg *Config)
 		}
 		return fmt.Sprintf(" %c%d", sign, intensity)
 	}
-	rankAt := func(coord []int) (int, bool) {
-		for rank, c := range topo.Coords {
-			match := len(c) == len(coord)
-			for i := range coord {
-				if !match || c[i] != coord[i] {
-					match = false
-					break
-				}
-			}
-			if match {
-				return rank, true
-			}
-		}
-		return 0, false
-	}
 	writeGrid := func(prefix []int, rows, cols int) error {
 		for y := 0; y < rows; y++ {
 			var sb strings.Builder
@@ -95,8 +68,8 @@ func RenderTopology(w io.Writer, e *core.Experiment, sel Selection, cfg *Config)
 				if len(topo.Dims) == 1 {
 					coord = []int{x}
 				}
-				rank, ok := rankAt(coord)
-				sb.WriteString(cell(rank, ok))
+				rank := topo.RankAt(coord...)
+				sb.WriteString(cell(rank, rank >= 0))
 			}
 			if _, err := fmt.Fprintln(w, sb.String()); err != nil {
 				return err

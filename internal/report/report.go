@@ -86,13 +86,14 @@ func Write(w io.Writer, e *core.Experiment, opts *Options) error {
 		o.TopN = 10
 	}
 
+	roll := display.NewRollup(e, sel)
 	m := &model{
 		Title:      e.Title,
 		Derived:    e.Derived,
 		Operation:  e.Operation,
 		Parents:    e.Parents,
 		MetricName: sel.Metric.Name,
-		Selected:   display.SelectedTotal(e, sel),
+		Selected:   roll.Total(),
 		Unit:       string(sel.Metric.Unit),
 	}
 
@@ -115,16 +116,20 @@ func Write(w io.Writer, e *core.Experiment, opts *Options) error {
 		m.Metrics = append(m.Metrics, build(root))
 	}
 
-	// Call trees for the selected metric.
+	// Call trees for the selected metric; the call and system trees'
+	// bars are scaled by the selected metric root's total.
 	callBase := math.Abs(e.MetricInclusive(sel.Metric.Root()))
+	valued := func(n *node, v float64) *node {
+		n.Value, n.Negative = v, v < 0
+		if callBase > 0 {
+			n.Percent = 100 * math.Abs(v) / callBase
+		}
+		return n
+	}
 	for _, root := range e.CallRoots() {
 		var build func(x *core.CallNode) *node
 		build = func(x *core.CallNode) *node {
-			v := display.CallLabel(e, sel, x, len(x.Children()) == 0)
-			n := &node{Label: x.Callee().Name, Value: v, Negative: v < 0, Selected: x == sel.CNode}
-			if callBase > 0 {
-				n.Percent = 100 * math.Abs(v) / callBase
-			}
+			n := valued(&node{Label: x.Callee().Name, Selected: x == sel.CNode}, roll.Call(x, len(x.Children()) == 0))
 			for _, c := range x.Children() {
 				n.Children = append(n.Children, build(c))
 			}
@@ -133,7 +138,9 @@ func Write(w io.Writer, e *core.Experiment, opts *Options) error {
 		m.Calls = append(m.Calls, build(root))
 	}
 
-	// System tree for the selection.
+	// System tree for the selection: a process sums its threads, a node
+	// its processes and a machine its nodes.
+	ti := 0 // index of the next thread in Threads()
 	for _, mach := range e.Machines() {
 		mn := &node{Label: "machine " + mach.Name}
 		for _, nd := range mach.Nodes() {
@@ -142,53 +149,26 @@ func Write(w io.Writer, e *core.Experiment, opts *Options) error {
 				pv := 0.0
 				pn := &node{Label: p.String()}
 				for _, th := range p.Threads() {
-					tv := display.ThreadValue(e, sel, th)
+					tv := roll.ByThread[ti]
+					ti++
 					pv += tv
 					if len(p.Threads()) > 1 {
-						tn := &node{Label: fmt.Sprintf("thread %d", th.ID), Value: tv, Negative: tv < 0}
-						if callBase > 0 {
-							tn.Percent = 100 * math.Abs(tv) / callBase
-						}
-						pn.Children = append(pn.Children, tn)
+						pn.Children = append(pn.Children, valued(&node{Label: fmt.Sprintf("thread %d", th.ID)}, tv))
 					}
 				}
-				pn.Value = pv
-				pn.Negative = pv < 0
-				if callBase > 0 {
-					pn.Percent = 100 * math.Abs(pv) / callBase
-				}
-				nn.Children = append(nn.Children, pn)
+				nn.Children = append(nn.Children, valued(pn, pv))
 				nn.Value += pv
 			}
-			nn.Negative = nn.Value < 0
-			if callBase > 0 {
-				nn.Percent = 100 * math.Abs(nn.Value) / callBase
-			}
-			mn.Children = append(mn.Children, nn)
+			mn.Children = append(mn.Children, valued(nn, nn.Value))
 			mn.Value += nn.Value
 		}
-		mn.Negative = mn.Value < 0
-		if callBase > 0 {
-			mn.Percent = 100 * math.Abs(mn.Value) / callBase
-		}
-		m.System = append(m.System, mn)
+		m.System = append(m.System, valued(mn, mn.Value))
 	}
 
 	// Topology heat map (2D only; other arities are skipped).
 	if topo := e.Topology(); topo != nil && len(topo.Dims) == 2 {
 		m.TopoDims = fmt.Sprintf("%v", topo.Dims)
-		perRank := map[int]float64{}
-		var maxAbs float64
-		for _, p := range e.Processes() {
-			var v float64
-			for _, th := range p.Threads() {
-				v += display.ThreadValue(e, sel, th)
-			}
-			perRank[p.Rank] = v
-			if a := math.Abs(v); a > maxAbs {
-				maxAbs = a
-			}
-		}
+		perRank, maxAbs := roll.ByRank()
 		for y := 0; y < topo.Dims[0]; y++ {
 			var row []topoCell
 			for x := 0; x < topo.Dims[1]; x++ {

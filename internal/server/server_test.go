@@ -205,6 +205,25 @@ func TestViewEndpoint(t *testing.T) {
 	readAll(t, resp)
 }
 
+// TestViewWithoutCallTree views an experiment that has a system tree but no
+// call tree: the call selection is empty, not a 500.
+func TestViewWithoutCallTree(t *testing.T) {
+	srv := newTestServer(t)
+	e := core.New("no calls")
+	e.NewMetric("Time", core.Seconds, "")
+	e.SingleThreadedSystem("m", 1, 2)
+	for _, path := range []string{"/view", "/view?mode=percent&top=3", "/report", "/info"} {
+		resp := post(t, srv, path, e)
+		out := readAll(t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", path, resp.StatusCode, out)
+		}
+		if strings.HasPrefix(path, "/view") && !strings.Contains(out, "System tree (no call path selected)") {
+			t.Errorf("%s lacks the empty system tree:\n%s", path, out)
+		}
+	}
+}
+
 func TestReportEndpoint(t *testing.T) {
 	srv := newTestServer(t)
 	resp := post(t, srv, "/report?metric=Wait", buildExp("r", 0))
