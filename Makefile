@@ -20,11 +20,12 @@ vet:
 # metrics registry, the trace machinery probed by the fuzz-derived
 # robustness tests, the sharded severity kernels in internal/core, and
 # the experiment store's fault-injection suite, and the generic LRU cache
-# with its singleflight (internal/lru). The wide-event suites
+# with its singleflight (internal/lru), and the self-telemetry snapshot
+# loop (internal/selfcube). The wide-event suites
 # (concurrent kernel-shard emission, the event ring, the SLO bucket
 # ring) live in these same packages and ride along.
 race:
-	$(GO) test -race ./internal/server/... ./internal/trace/... ./client/... ./internal/obs/... ./internal/core/... ./internal/store/... ./internal/expr/... ./internal/lru/...
+	$(GO) test -race ./internal/server/... ./internal/trace/... ./client/... ./internal/obs/... ./internal/core/... ./internal/store/... ./internal/expr/... ./internal/lru/... ./internal/selfcube/...
 
 # Quick sanity run: only the large 64x512x64 operator benchmarks, one
 # iteration each. (CI runs every benchmark once instead.)

@@ -155,18 +155,17 @@ func main() {
 	logger := slog.New(handler)
 	cfg.Logger = logger
 
-	// One wide-event sink for the whole process, created before the store
-	// opens so its recovery and lifecycle events land in the same ring
-	// the requests do (NewHandler installs it as the process-wide seam).
+	// One registry and one wide-event sink for the whole process,
+	// installed as the process-wide seams before the store opens so its
+	// recovery counters and event land where the requests' do (NewHandler
+	// installs the same two again).
+	cfg.Metrics = obs.Default
 	cfg.Events = obs.NewEventSink(cfg.EventRingSize)
+	obs.SetRegistry(cfg.Metrics)
+	obs.SetEventSink(cfg.Events)
 
 	if *storeDir != "" {
-		st, err := store.Open(*storeDir, store.Options{
-			Budget:  *storeMB << 20,
-			Logger:  logger,
-			Metrics: obs.Default,
-			Events:  cfg.Events,
-		})
+		st, err := store.Open(*storeDir, store.Options{Budget: *storeMB << 20, Logger: logger})
 		if err != nil {
 			cli.Fatal("cube-server", err)
 		}

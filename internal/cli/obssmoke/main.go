@@ -19,7 +19,8 @@
 //   - /debug/slo burn rates agree with recomputing the SLO arithmetic
 //     from the same snapshot's raw counters,
 //   - /debug/store inventory matches the traffic driven,
-//   - /metrics carries the cube_slo_* gauges and parses with promtext.
+//   - /metrics carries the cube_slo_* gauges and the store's cube_store_*
+//     series, and parses with promtext.
 //
 // The latency objective is set to 1ns so every request is deliberately
 // "slow": latency burn must then equal total/((1-target)·total), which
@@ -61,15 +62,22 @@ func run() error {
 	}
 	defer os.RemoveAll(dir)
 
-	sink := obs.NewEventSink(0)
-	st, err := store.Open(dir, store.Options{Events: sink})
+	// Install the registry and the sink before the store opens, as
+	// cube-server does, so the store records into them from its recovery
+	// scan on.
+	cfg := server.DefaultConfig()
+	cfg.Metrics = obs.NewRegistry()
+	cfg.Events = obs.NewEventSink(0)
+	obs.SetRegistry(cfg.Metrics)
+	obs.SetEventSink(cfg.Events)
+	defer obs.SetRegistry(nil)
+	defer obs.SetEventSink(nil)
+	sink := cfg.Events
+	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		return err
 	}
-	cfg := server.DefaultConfig()
 	cfg.Debug = true
-	cfg.Metrics = obs.NewRegistry()
-	cfg.Events = sink
 	cfg.Store = st
 	cfg.SLOAvailability = 0.999
 	cfg.SLOLatency = time.Nanosecond          // every request is "slow" on purpose
@@ -79,7 +87,6 @@ func run() error {
 	}
 	srv := httptest.NewServer(server.NewHandler(cfg))
 	defer srv.Close()
-	defer obs.SetEventSink(nil)
 
 	// Traffic: 1 inline op, 2 store puts, 1 digest-referenced op, one
 	// 404, one 422, and 1 digest-referenced op on a fresh server over the
@@ -290,7 +297,9 @@ func checkStore(base string) error {
 }
 
 // checkMetrics parses the exposition and requires the SLO gauges the
-// dashboards read. A fully-burned latency budget is 100x = 1e8 ppm.
+// dashboards read (a fully-burned latency budget is 100x = 1e8 ppm) and
+// the store's series for the traffic driven: two new blobs, and the fresh
+// server's digest op read both.
 func checkMetrics(base string) error {
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
@@ -309,6 +318,12 @@ func checkMetrics(base string) error {
 	}
 	if got := m.Sum("cube_http_requests_total", nil); got == 0 {
 		return fmt.Errorf("cube_http_requests_total absent from /metrics")
+	}
+	puts, _ := m.Value("cube_store_put_total", nil)
+	blobs, _ := m.Value("cube_store_blobs", nil)
+	hits, _ := m.Value("cube_store_get_hits_total", nil)
+	if puts != 2 || blobs != 2 || hits < 2 {
+		return fmt.Errorf("cube_store_put_total %v, cube_store_blobs %v, cube_store_get_hits_total %v; want 2, 2, >=2", puts, blobs, hits)
 	}
 	return nil
 }

@@ -7,7 +7,6 @@ import (
 	"unsafe"
 
 	"cube/internal/lru"
-	"cube/internal/obs"
 )
 
 // Integration memoization. integrate's outcome is fully determined by the
@@ -56,7 +55,7 @@ func SetIntegrateMemoBudget(budgetBytes int64) {
 		integrateMemoTable.Store(nil)
 		return
 	}
-	integrateMemoTable.Store(lru.New[memoKey, *memoEntry](budgetBytes, "cube_meta_memo", obs.ActiveRegistry))
+	integrateMemoTable.Store(lru.New[memoKey, *memoEntry](budgetBytes, "cube_meta_memo"))
 }
 
 type memoKey [32]byte

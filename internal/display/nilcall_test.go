@@ -37,7 +37,7 @@ func TestNilCallSelection(t *testing.T) {
 		if err != nil {
 			t.Fatalf("collapsed %v: RenderTopology: %v", collapsed, err)
 		}
-		if want := "(max |value| 0)\n  0  0\n  0  0\n"; !strings.HasSuffix(out, want) {
+		if want := ", no call path selected (max |value| 0)\n  0  0\n  0  0\n"; !strings.HasSuffix(out, want) {
 			t.Errorf("collapsed %v: topology = %q, want suffix %q", collapsed, out, want)
 		}
 		out, err = report.WriteString(e, &report.Options{Selection: sel})

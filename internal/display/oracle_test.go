@@ -273,11 +273,11 @@ func renderTopologyOracle(w io.Writer, e *core.Experiment, sel Selection) error 
 			maxAbs = a
 		}
 	}
-	cnodeLabel := "entire program"
+	cnodeLabel := "no call path selected"
 	if sel.CNode != nil {
-		cnodeLabel = sel.CNode.Path()
+		cnodeLabel = "call path " + sel.CNode.Path()
 	}
-	fmt.Fprintf(w, "Topology %q %v — metric %s, call path %s (max |value| %g)\n",
+	fmt.Fprintf(w, "Topology %q %v — metric %s, %s (max |value| %g)\n",
 		topo.Name, topo.Dims, sel.Metric.Name, cnodeLabel, maxAbs)
 	cell := func(rank int, ok bool) string {
 		if !ok {

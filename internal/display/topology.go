@@ -34,11 +34,12 @@ func RenderTopology(w io.Writer, e *core.Experiment, sel Selection, cfg *Config)
 
 	value, maxAbs := NewRollup(e, sel).ByRank()
 
-	cnodeLabel := "entire program"
+	// A nil call node selects no call path, so every cell reads 0.
+	cnodeLabel := "no call path selected"
 	if sel.CNode != nil {
-		cnodeLabel = sel.CNode.Path()
+		cnodeLabel = "call path " + sel.CNode.Path()
 	}
-	if _, err := fmt.Fprintf(w, "Topology %q %v — metric %s, call path %s (max |value| %g)\n",
+	if _, err := fmt.Fprintf(w, "Topology %q %v — metric %s, %s (max |value| %g)\n",
 		topo.Name, topo.Dims, sel.Metric.Name, cnodeLabel, maxAbs); err != nil {
 		return err
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"cube/internal/core"
-	"cube/internal/obs"
 )
 
 // liveHeap returns the live heap after two forced collections (the second
@@ -70,8 +69,8 @@ func TestResultCacheBudgetMatchesHeap(t *testing.T) {
 	resolve := func(_ context.Context, leaf Leaf) (*core.Experiment, error) {
 		return leaves[leaf.Digest], nil
 	}
-	reg := obs.NewRegistry()
-	g := NewEngine(Config{CacheBytes: 8 << 20, Metrics: reg})
+	reg := useRegistry(t)
+	g := NewEngine(Config{CacheBytes: 8 << 20})
 
 	before := liveHeap()
 	filled := false

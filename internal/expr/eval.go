@@ -15,7 +15,7 @@ import (
 // of the same expression (singleflight), so a burst of identical DAGs
 // runs the kernels once. An Engine is safe for concurrent use.
 //
-// Metrics (registry from Config.Metrics):
+// Metrics (recorded into the process-wide registry, obs.SetRegistry):
 //
 //	cube_expr_requests_total        expressions evaluated (or served cached)
 //	cube_expr_nodes_total           unique DAG nodes planned
@@ -26,7 +26,6 @@ import (
 //	cube_expr_cache_evictions_total LRU evictions under the byte budget
 //	cube_expr_cache_bytes           resident bytes of the cached results
 type Engine struct {
-	reg   *obs.Registry
 	cache *lru.Cache[resultKey, *core.Experiment] // compacted masters, shared read-only
 }
 
@@ -35,17 +34,11 @@ type Config struct {
 	// CacheBytes is the byte budget of the expression-digest result
 	// cache; 0 disables result caching (every request recomputes).
 	CacheBytes int64
-	// Metrics receives the cube_expr_* series; nil disables them.
-	Metrics *obs.Registry
 }
 
 // NewEngine returns an evaluation engine.
 func NewEngine(cfg Config) *Engine {
-	reg := cfg.Metrics
-	return &Engine{
-		reg:   reg,
-		cache: lru.New[resultKey, *core.Experiment](cfg.CacheBytes, "cube_expr_cache", func() *obs.Registry { return reg }),
-	}
+	return &Engine{cache: lru.New[resultKey, *core.Experiment](cfg.CacheBytes, "cube_expr_cache")}
 }
 
 // Resolver supplies leaf operands: stored experiments by digest, inline
@@ -65,10 +58,12 @@ type Stats struct {
 	RootCached bool // whole expression answered without evaluating anything
 }
 
-func (g *Engine) count(name string, n int64) {
-	if g.reg != nil {
-		g.reg.Counter(name).Add(n)
-	}
+// countRequest counts one evaluated (or cached) expression request.
+func countRequest(stats Stats) {
+	reg := obs.ActiveRegistry()
+	reg.Counter("cube_expr_requests_total").Inc()
+	reg.Counter("cube_expr_nodes_total").Add(int64(stats.Nodes))
+	reg.Counter("cube_expr_cse_hits_total").Add(int64(stats.CSEHits))
 }
 
 // Eval evaluates the plan and returns the root experiment, which the
@@ -77,9 +72,7 @@ func (g *Engine) count(name string, n int64) {
 // touching a kernel.
 func (g *Engine) Eval(ctx context.Context, plan *Plan, opts *core.Options, resolve Resolver) (*core.Experiment, Stats, error) {
 	stats := Stats{Nodes: len(plan.Nodes), CSEHits: plan.CSEHits}
-	g.count("cube_expr_requests_total", 1)
-	g.count("cube_expr_nodes_total", int64(stats.Nodes))
-	g.count("cube_expr_cse_hits_total", int64(stats.CSEHits))
+	countRequest(stats)
 
 	fp := optsFingerprint(opts)
 	if plan.Root.Spec == nil {
@@ -106,7 +99,7 @@ func (g *Engine) Eval(ctx context.Context, plan *Plan, opts *core.Options, resol
 		return nil, stats, err
 	}
 	if outcome != lru.Miss {
-		g.count("cube_expr_cache_hits_total", 1)
+		obs.ActiveRegistry().Counter("cube_expr_cache_hits_total").Inc()
 		stats.CacheHits++
 		stats.RootCached = true
 	}
@@ -122,9 +115,7 @@ func (g *Engine) Eval(ctx context.Context, plan *Plan, opts *core.Options, resol
 // identical batches race only on cache insertion, benignly.
 func (g *Engine) EvalMulti(ctx context.Context, plan *Plan, opts *core.Options, resolve Resolver) ([]*core.Experiment, Stats, error) {
 	stats := Stats{Nodes: len(plan.Nodes), CSEHits: plan.CSEHits}
-	g.count("cube_expr_requests_total", 1)
-	g.count("cube_expr_nodes_total", int64(stats.Nodes))
-	g.count("cube_expr_cse_hits_total", int64(stats.CSEHits))
+	countRequest(stats)
 
 	fp := optsFingerprint(opts)
 	masters, err := g.evalAll(ctx, plan, fp, opts, resolve, &stats, plan.Roots)
@@ -157,6 +148,7 @@ func (g *Engine) evalAll(ctx context.Context, plan *Plan, fp string, opts *core.
 		isRoot[r] = true
 	}
 	masters := make(map[*Node]*core.Experiment, len(roots))
+	reg := obs.ActiveRegistry()
 	for _, n := range plan.Nodes {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -174,7 +166,7 @@ func (g *Engine) evalAll(ctx context.Context, plan *Plan, fp string, opts *core.
 		}
 		key := resultKey{node: n.Key, opts: fp}
 		if e, ok := g.cache.Get(key); ok {
-			g.count("cube_expr_cache_hits_total", 1)
+			reg.Counter("cube_expr_cache_hits_total").Inc()
 			stats.CacheHits++
 			results[n] = e
 			if isRoot[n] {
@@ -182,7 +174,7 @@ func (g *Engine) evalAll(ctx context.Context, plan *Plan, fp string, opts *core.
 			}
 			continue
 		}
-		g.count("cube_expr_cache_misses_total", 1)
+		reg.Counter("cube_expr_cache_misses_total").Inc()
 		operands := make([]*core.Experiment, len(n.Args))
 		for i, a := range n.Args {
 			operands[i] = results[a]
@@ -207,7 +199,7 @@ func (g *Engine) evalAll(ctx context.Context, plan *Plan, fp string, opts *core.
 			return nil, fmt.Errorf("expr: %s: %w", n.Spec.name, err)
 		}
 		stats.Evaluated++
-		g.count("cube_expr_eval_nodes_total", 1)
+		reg.Counter("cube_expr_eval_nodes_total").Inc()
 		// Publish the master. Once it is visible in the cache, every
 		// request only reads it — as an operand of parent nodes, and for
 		// roots through the boundary clone its caller receives.

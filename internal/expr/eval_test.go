@@ -30,6 +30,15 @@ func evalExperiment(title string, vals ...float64) *core.Experiment {
 	return e
 }
 
+// useRegistry installs a fresh registry as the process-wide one for the
+// rest of the test and returns it.
+func useRegistry(t testing.TB) *obs.Registry {
+	reg := obs.NewRegistry()
+	obs.SetRegistry(reg)
+	t.Cleanup(func() { obs.SetRegistry(nil) })
+	return reg
+}
+
 // testStore maps fabricated digests to experiments and counts resolutions.
 type testStore struct {
 	byDigest map[string]*core.Experiment
@@ -80,8 +89,8 @@ func TestEvalSharedSubexpressionOnceAndResultCache(t *testing.T) {
 	a := evalExperiment("a", 4, 8, 12)
 	b := evalExperiment("b", 1, 2, 3)
 	store := newTestStore(map[string]*core.Experiment{"a": a, "b": b})
-	reg := obs.NewRegistry()
-	eng := NewEngine(Config{CacheBytes: 1 << 20, Metrics: reg})
+	reg := useRegistry(t)
+	eng := NewEngine(Config{CacheBytes: 1 << 20})
 
 	// mean(diff(a,b), scale(diff(a,b), 2)) — diff(a,b) written twice.
 	src := fmt.Sprintf(`{"op":"mean","args":[
@@ -305,8 +314,8 @@ func TestEvalContextCancelled(t *testing.T) {
 // The byte budget is enforced: a tiny budget evicts old entries and the
 // eviction counter moves.
 func TestResultCacheEviction(t *testing.T) {
-	reg := obs.NewRegistry()
-	rc := NewEngine(Config{CacheBytes: 2000, Metrics: reg}).cache // one tiny experiment (~1.6 KiB resident) fits, two don't
+	reg := useRegistry(t)
+	rc := NewEngine(Config{CacheBytes: 2000}).cache // one tiny experiment (~1.6 KiB resident) fits, two don't
 	k1 := resultKey{node: sha256.Sum256([]byte("k1"))}
 	k2 := resultKey{node: sha256.Sum256([]byte("k2"))}
 	e1 := evalExperiment("e1", 1)

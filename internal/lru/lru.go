@@ -36,13 +36,12 @@ func (o Outcome) String() string {
 // concurrent use.
 //
 // Evictions and resident bytes are reported as <prefix>_evictions_total
-// and <prefix>_bytes to the registry reg returns when the event happens
-// (nil: not reported). Hits and misses mean different things to each
-// caller, so callers count those themselves.
+// and <prefix>_bytes to the process-wide registry (obs.SetRegistry)
+// installed when the event happens. Hits and misses mean different things
+// to each caller, so callers count those themselves.
 type Cache[K comparable, V any] struct {
 	budget int64
 	prefix string
-	reg    func() *obs.Registry
 
 	mu      sync.Mutex
 	idx     map[K]*list.Element
@@ -67,11 +66,10 @@ type flight[V any] struct {
 
 // New returns an empty cache with the given byte budget. A budget of 0
 // caches nothing; Do still shares concurrent misses.
-func New[K comparable, V any](budget int64, prefix string, reg func() *obs.Registry) *Cache[K, V] {
+func New[K comparable, V any](budget int64, prefix string) *Cache[K, V] {
 	return &Cache[K, V]{
 		budget:  budget,
 		prefix:  prefix,
-		reg:     reg,
 		idx:     map[K]*list.Element{},
 		ll:      list.New(),
 		flights: map[K]*flight[V]{},
@@ -118,12 +116,11 @@ func (c *Cache[K, V]) Add(key K, val V, size int64) {
 	c.bytes += size
 	bytes := c.bytes
 	c.mu.Unlock()
-	if reg := c.registry(); reg != nil {
-		if evicted > 0 {
-			reg.Counter(c.prefix + "_evictions_total").Add(int64(evicted))
-		}
-		reg.Gauge(c.prefix + "_bytes").Set(bytes)
+	reg := obs.ActiveRegistry()
+	if evicted > 0 {
+		reg.Counter(c.prefix + "_evictions_total").Add(int64(evicted))
 	}
+	reg.Gauge(c.prefix + "_bytes").Set(bytes)
 }
 
 // Do returns the value stored under key. On a miss it runs fn once for
@@ -173,11 +170,4 @@ func (c *Cache[K, V]) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes
-}
-
-func (c *Cache[K, V]) registry() *obs.Registry {
-	if c.reg == nil {
-		return nil
-	}
-	return c.reg()
 }

@@ -10,13 +10,17 @@ import (
 	"cube/internal/obs"
 )
 
-func newTest(budget int64) (*Cache[string, int], *obs.Registry) {
+// newTest returns a cache and the registry it reports to, installed as
+// the process-wide registry for the rest of the test.
+func newTest(t *testing.T, budget int64) (*Cache[string, int], *obs.Registry) {
 	reg := obs.NewRegistry()
-	return New[string, int](budget, "test_cache", func() *obs.Registry { return reg }), reg
+	obs.SetRegistry(reg)
+	t.Cleanup(func() { obs.SetRegistry(nil) })
+	return New[string, int](budget, "test_cache"), reg
 }
 
 func TestEvictionOrderAndBudget(t *testing.T) {
-	c, reg := newTest(30)
+	c, reg := newTest(t, 30)
 	c.Add("a", 1, 10)
 	c.Add("b", 2, 10)
 	c.Add("c", 3, 10)
@@ -44,7 +48,7 @@ func TestEvictionOrderAndBudget(t *testing.T) {
 }
 
 func TestOversizeNeverCached(t *testing.T) {
-	c, reg := newTest(10)
+	c, reg := newTest(t, 10)
 	c.Add("small", 1, 10)
 	c.Add("big", 2, 11)
 	if _, ok := c.Get("big"); ok {
@@ -69,7 +73,7 @@ func TestOversizeNeverCached(t *testing.T) {
 }
 
 func TestAddPresentKeyIsNoop(t *testing.T) {
-	c, _ := newTest(100)
+	c, _ := newTest(t, 100)
 	c.Add("k", 1, 10)
 	c.Add("k", 2, 50)
 	if v, _ := c.Get("k"); v != 1 {
@@ -81,7 +85,7 @@ func TestAddPresentKeyIsNoop(t *testing.T) {
 }
 
 func TestZeroBudgetStillSharesFlights(t *testing.T) {
-	c, _ := newTest(0)
+	c, _ := newTest(t, 0)
 	c.Add("k", 1, 1)
 	if c.Len() != 0 {
 		t.Fatal("a zero budget cached an entry")
@@ -145,7 +149,7 @@ type result struct {
 }
 
 func TestDoSharesValue(t *testing.T) {
-	c, _ := newTest(100)
+	c, _ := newTest(t, 100)
 	leader, waiters, runs := doConcurrently(t, c, "k", 8, 42, nil)
 	if runs != 1 {
 		t.Errorf("fn ran %d times, want 1", runs)
@@ -164,7 +168,7 @@ func TestDoSharesValue(t *testing.T) {
 }
 
 func TestDoSharesErrorAndNeverCachesIt(t *testing.T) {
-	c, reg := newTest(100)
+	c, reg := newTest(t, 100)
 	boom := errors.New("boom")
 	leader, waiters, runs := doConcurrently(t, c, "k", 8, 0, boom)
 	if runs != 1 {
@@ -191,11 +195,11 @@ func TestDoSharesErrorAndNeverCachesIt(t *testing.T) {
 }
 
 func TestRegistryReadAtEventTime(t *testing.T) {
-	var cur atomic.Pointer[obs.Registry]
-	c := New[string, int](10, "late", cur.Load)
+	c := New[string, int](10, "late")
 	c.Add("a", 1, 10) // no registry yet: not reported, no panic
 	reg := obs.NewRegistry()
-	cur.Store(reg)
+	obs.SetRegistry(reg)
+	t.Cleanup(func() { obs.SetRegistry(nil) })
 	c.Add("b", 2, 10)
 	if got := reg.CounterValue("late_evictions_total"); got != 1 {
 		t.Errorf("evictions = %d, want 1", got)

@@ -301,9 +301,9 @@ func (k *EventSink) WriteNDJSON(w io.Writer, f EventFilter) (int, error) {
 // --- process-wide sink seam -----------------------------------------------------
 
 // The active sink mirrors the tracer seam: one atomic pointer consulted
-// by layers that have no explicit sink handle (the store's lifecycle
-// events, the typed client). The HTTP service installs its sink here so
-// the whole process shares one flight recorder.
+// by every layer that emits events outside a request (the store's
+// lifecycle events, self-snapshots, the typed client). The HTTP service
+// installs its sink here so the whole process shares one flight recorder.
 var activeEventSink atomic.Pointer[EventSink]
 
 // SetEventSink installs k as the process-wide event sink; nil disables

@@ -42,10 +42,6 @@ type SLOConfig struct {
 	// burn ≥ 1, per route and objective). Nil uses slog.Default.
 	Logger *slog.Logger
 
-	// Registry receives cube_slo_* gauges on every Observe. Nil skips
-	// metric export.
-	Registry *Registry
-
 	// now overrides the clock in tests.
 	now func() time.Time
 }
@@ -205,13 +201,11 @@ func (t *SLOTracker) burnsLocked(r *sloRoute) (avail, lat float64) {
 	return avail, lat
 }
 
-// export publishes burn gauges. Burn is exported in parts-per-million so
-// the integer gauge keeps precision (1_000_000 = budget exactly spent).
+// export publishes burn gauges into the process-wide registry
+// (SetRegistry). Burn is exported in parts-per-million so the integer
+// gauge keeps precision (1_000_000 = budget exactly spent).
 func (t *SLOTracker) export(route string, availBurn, latBurn float64) {
-	reg := t.cfg.Registry
-	if reg == nil {
-		return
-	}
+	reg := ActiveRegistry()
 	const ppm = 1e6
 	if t.cfg.AvailabilityTarget > 0 {
 		reg.Gauge("cube_slo_availability_burn_ppm", L("route", route)).Set(int64(availBurn * ppm))

@@ -175,13 +175,14 @@ func TestSLOBudgetExhaustedWarning(t *testing.T) {
 
 func TestSLOMetricsExport(t *testing.T) {
 	reg := NewRegistry()
+	SetRegistry(reg)
+	t.Cleanup(func() { SetRegistry(nil) })
 	clk := newSLOClock()
 	tr := NewSLOTracker(SLOConfig{
 		Window:             time.Minute,
 		AvailabilityTarget: 0.9,
 		LatencyThreshold:   100 * time.Millisecond,
 		LatencyTarget:      0.9,
-		Registry:           reg,
 		now:                clk.now,
 	})
 	for i := 0; i < 9; i++ {

@@ -166,8 +166,9 @@ var (
 	ExprNode   = stage("expr.node", "expr.node", "cube_stage_seconds", L("stage", "expr.node"))
 )
 
-// Quantities, grouped by the stage that counts them. The store's own
-// inventory counters live on its registry (store.Options.Metrics).
+// Quantities, grouped by the stage that counts them. The store's
+// inventory counters (evictions, quarantines, put errors, misses, mode
+// transitions) have no stage and record straight into ActiveRegistry.
 var (
 	XMLReads           = counter("", "cube_xml_reads_total") // Parse
 	XMLReadErrors      = counter("", "cube_xml_read_errors_total")
@@ -183,11 +184,13 @@ var (
 	ParseCacheMisses   = counter("parse_cache_misses", "cube_parse_cache_misses_total")
 	LowerCacheHits     = counter("lower_cache_hits", "cube_lower_cache_hits_total")
 	LowerCacheMisses   = counter("lower_cache_misses", "cube_lower_cache_misses_total")
-	StorePins          = counter("store_pins", "") // Resolve, StoreGet, Store
-	StoreGets          = counter("store_gets", "")
-	StorePuts          = counter("store_puts", "")
-	StoreBytes         = spanned("bytes", counter("store_bytes", ""))
-	IntegrateCalls     = counter("", "cube_integrate_invocations_total") // Integrate
+	// StorePuts counts every successful Put, an already-stored blob too,
+	// so it is not the store's cube_store_put_total (new blobs only).
+	StorePins      = counter("store_pins", "") // Resolve, StoreGet, Store
+	StoreGets      = counter("store_gets", "cube_store_get_hits_total")
+	StorePuts      = counter("store_puts", "")
+	StoreBytes     = spanned("bytes", counter("store_bytes", ""))
+	IntegrateCalls = counter("", "cube_integrate_invocations_total") // Integrate
 	// IntegrateInputNodes and IntegrateOutputNodes are indexed by
 	// dimension: metric, call node, thread.
 	IntegrateInputNodes  = dims("cube_integrate_input_nodes_total")

@@ -231,12 +231,14 @@ func TestSnapshotterConfigValidation(t *testing.T) {
 
 func TestSnapshotterSeriesAndRotation(t *testing.T) {
 	c, reg := testCollector(t)
+	obs.SetRegistry(reg)
+	t.Cleanup(func() { obs.SetRegistry(nil) })
 	st, err := store.Open(t.TempDir(), store.Options{Logger: slog.Default()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap, err := NewSnapshotter(SnapshotterConfig{
-		Collector: c, Store: st, Keep: 2, Metrics: reg, Logger: slog.Default(),
+		Collector: c, Store: st, Keep: 2, Logger: slog.Default(),
 	})
 	if err != nil {
 		t.Fatal(err)

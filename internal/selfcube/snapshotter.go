@@ -35,9 +35,8 @@ type SnapshotterConfig struct {
 	Interval time.Duration
 	// Keep bounds the run series: older runs beyond Keep are unpinned and
 	// forgotten (the store may then evict them). Zero means DefaultKeep.
-	Keep    int
-	Logger  *slog.Logger
-	Metrics *obs.Registry
+	Keep   int
+	Logger *slog.Logger
 }
 
 // Snapshotter periodically materialises self-telemetry experiments and
@@ -88,22 +87,17 @@ func (s *Snapshotter) Snapshot(ctx context.Context) (Run, error) {
 
 	start := time.Now()
 	run, err := s.snapshotLocked(obs.ContextWithEvent(ctx, ev), seq, start)
-	dur := time.Since(start).Seconds()
-	if s.cfg.Metrics != nil {
-		s.cfg.Metrics.Histogram("cube_self_snapshot_duration_seconds", obs.DefLatencyBuckets).Observe(dur)
-		if err != nil {
-			s.cfg.Metrics.Counter("cube_self_snapshot_errors_total").Inc()
-		} else {
-			s.cfg.Metrics.Counter("cube_self_snapshots_total").Inc()
-			s.cfg.Metrics.Gauge("cube_self_series_runs").Set(int64(len(s.runs)))
-			s.cfg.Metrics.Gauge("cube_self_snapshot_bytes").Set(run.Bytes)
-		}
-	}
+	reg := obs.ActiveRegistry()
+	reg.Histogram("cube_self_snapshot_duration_seconds", obs.DefLatencyBuckets).Observe(time.Since(start).Seconds())
 	if err != nil {
+		reg.Counter("cube_self_snapshot_errors_total").Inc()
 		ev.SetError(err.Error())
 		s.cfg.Logger.Warn("self snapshot failed", slog.Uint64("seq", seq), slog.Any("err", err))
 		return Run{}, err
 	}
+	reg.Counter("cube_self_snapshots_total").Inc()
+	reg.Gauge("cube_self_series_runs").Set(int64(len(s.runs)))
+	reg.Gauge("cube_self_snapshot_bytes").Set(run.Bytes)
 	s.seq = seq
 	s.cfg.Logger.Info("self snapshot",
 		slog.Uint64("seq", run.Seq),

@@ -49,13 +49,13 @@ type parsed struct {
 }
 
 // newParseCache returns a parse cache holding at most budget bytes of
-// operand input; its size and evictions are published to reg, its hits
+// operand input; its size and evictions are published by the LRU, its hits
 // and misses through the stage table (obs.ParseCache).
-func newParseCache(budget int64, lim cubexml.Limits, engine cubexml.ReadEngine, reg *obs.Registry) *parseCache {
+func newParseCache(budget int64, lim cubexml.Limits, engine cubexml.ReadEngine) *parseCache {
 	return &parseCache{
 		limits: lim,
 		engine: engine,
-		lru:    lru.New[store.Digest, parsed](budget, "cube_parse_cache", func() *obs.Registry { return reg }),
+		lru:    lru.New[store.Digest, parsed](budget, "cube_parse_cache"),
 	}
 }
 

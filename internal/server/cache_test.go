@@ -33,12 +33,12 @@ func encodeExp(t testing.TB, e *core.Experiment) []byte {
 
 func counter(reg *obs.Registry, name string) int64 { return reg.Counter(name).Value() }
 
-// newTestParseCache is newParseCache with reg also installed as the
-// stage table's registry, where the hit and miss counters land.
+// newTestParseCache is newParseCache with reg installed as the
+// process-wide registry, where its counters and gauges land.
 func newTestParseCache(t testing.TB, budget int64, lim cubexml.Limits, engine cubexml.ReadEngine, reg *obs.Registry) *parseCache {
 	obs.SetRegistry(reg)
 	t.Cleanup(func() { obs.SetRegistry(nil) })
-	return newParseCache(budget, lim, engine, reg)
+	return newParseCache(budget, lim, engine)
 }
 
 func TestParseCacheHitMiss(t *testing.T) {
@@ -503,7 +503,7 @@ func BenchmarkParseCacheHit(b *testing.B) {
 }
 
 func BenchmarkParseCacheMiss(b *testing.B) {
-	pc := newParseCache(0, cubexml.DefaultLimits, cubexml.EngineAuto, nil) // nothing cacheable
+	pc := newParseCache(0, cubexml.DefaultLimits, cubexml.EngineAuto) // nothing cacheable
 	data := encodeExp(b, buildExp("bench", 0))
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()

@@ -189,7 +189,6 @@ func TestDegradedStoreEmitsWideEvents(t *testing.T) {
 	cfg.Debug = true
 	srv, _ := newStoreServer(t, cfg, store.Options{
 		FS:               ffs,
-		Events:           sink,
 		FailureThreshold: 1,
 		ProbeInterval:    time.Minute,
 	})

@@ -82,8 +82,10 @@ type Config struct {
 	// request ID), plus error and panic reports. nil disables logging.
 	Logger *slog.Logger
 
-	// Metrics receives the request, operator, and codec metrics and backs
-	// the /metrics and /debug/vars endpoints. nil selects obs.Default.
+	// Metrics is the registry every layer records into — NewHandler
+	// installs it as the process-wide registry (obs.SetRegistry) — and
+	// backs the /metrics and /debug/vars endpoints. nil selects
+	// obs.Default.
 	Metrics *obs.Registry
 
 	// Debug is the single gate for every /debug/* route: pprof, the
@@ -99,8 +101,9 @@ type Config struct {
 	EnablePprof bool
 
 	// Events receives the per-request wide events; nil makes NewHandler
-	// create a private ring of EventRingSize. cube-server shares one sink
-	// between the store (lifecycle events) and the handler.
+	// create a private ring of EventRingSize. NewHandler installs it as
+	// the process-wide sink (obs.SetEventSink), where the store's
+	// lifecycle events land too.
 	Events *obs.EventSink
 
 	// EventRingSize bounds the wide-event ring when Events is nil;

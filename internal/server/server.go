@@ -102,10 +102,11 @@ func Handler() http.Handler {
 
 // NewHandler returns the service handler with the given configuration
 // (nil means DefaultConfig). All limits, the logger, and the metrics
-// registry come from cfg. The stage table's registry seam
-// (obs.SetRegistry), which the algebra, the codec and the store record
-// through, is pointed at the same registry — it is process-wide, so the
-// last handler created wins.
+// registry come from cfg. The registry is installed as the process-wide
+// seam (obs.SetRegistry) that every layer records through — the algebra,
+// the codec, the caches, the store, the SLO tracker and the
+// self-snapshotter — and it backs /metrics. The seam is process-wide, so
+// the last handler created wins.
 func NewHandler(cfg *Config) http.Handler {
 	if cfg == nil {
 		cfg = DefaultConfig()
@@ -114,20 +115,20 @@ func NewHandler(cfg *Config) http.Handler {
 	if s.reg == nil {
 		s.reg = obs.Default
 	}
-	if cfg.ParseCacheBytes > 0 {
-		s.cache = newParseCache(cfg.ParseCacheBytes, cfg.XML, cfg.ReadEngine, s.reg)
-	}
-	s.expr = expr.NewEngine(expr.Config{CacheBytes: cfg.ExprCacheBytes, Metrics: s.reg})
 	obs.SetRegistry(s.reg)
+	if cfg.ParseCacheBytes > 0 {
+		s.cache = newParseCache(cfg.ParseCacheBytes, cfg.XML, cfg.ReadEngine)
+	}
+	s.expr = expr.NewEngine(expr.Config{CacheBytes: cfg.ExprCacheBytes})
 	s.events = cfg.Events
 	if s.events == nil {
 		s.events = obs.NewEventSink(cfg.EventRingSize)
 	}
 	// The sink doubles as the process-wide seam (obs.SetEventSink), so
 	// store lifecycle transitions that happen outside any request — LRU
-	// evictions from recovery, degraded-mode probes — land in the same
-	// ring the requests do. Like the registry seam above, the last
-	// handler created wins.
+	// evictions, degraded-mode probes — land in the same ring the
+	// requests do. Like the registry seam above, the last handler created
+	// wins.
 	obs.SetEventSink(s.events)
 	if cfg.SLOAvailability > 0 || cfg.SLOLatency > 0 {
 		s.slo = obs.NewSLOTracker(obs.SLOConfig{
@@ -136,7 +137,6 @@ func NewHandler(cfg *Config) http.Handler {
 			LatencyTarget:      cfg.SLOLatencyTarget,
 			AvailabilityTarget: cfg.SLOAvailability,
 			Logger:             cfg.Logger,
-			Registry:           s.reg,
 		})
 	}
 	if cfg.TraceSampleRate > 0 || cfg.TraceSlow > 0 {
@@ -162,7 +162,6 @@ func NewHandler(cfg *Config) http.Handler {
 			Interval:  cfg.SelfInterval,
 			Keep:      cfg.SelfKeep,
 			Logger:    cfg.Logger,
-			Metrics:   s.reg,
 		})
 		if err != nil {
 			// Config.Validate rejects every input that can get here; a

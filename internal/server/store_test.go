@@ -29,6 +29,14 @@ func newStoreServer(t *testing.T, cfg *Config, opts store.Options) (*httptest.Se
 	if cfg == nil {
 		cfg = quietConfig()
 	}
+	// As cube-server does, install the seams before the store opens so
+	// its recovery scan records into them (NewHandler installs them too).
+	if cfg.Metrics != nil {
+		obs.SetRegistry(cfg.Metrics)
+	}
+	if cfg.Events != nil {
+		obs.SetEventSink(cfg.Events)
+	}
 	st, err := store.Open(t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -280,7 +288,6 @@ func TestDegradedModeEndToEnd(t *testing.T) {
 	cfg.RetryAfter = 2 * time.Second
 	srv, st := newStoreServer(t, cfg, store.Options{
 		FS:               ffs,
-		Metrics:          reg,
 		FailureThreshold: 1,
 		ProbeInterval:    time.Second,
 	})
@@ -470,7 +477,7 @@ func TestDigestLeafServedFromParseCache(t *testing.T) {
 	dir := t.TempDir()
 	ffs := store.NewFaultFS(nil)
 	reg := obs.NewRegistry()
-	st, err := store.Open(dir, store.Options{FS: ffs, Metrics: reg})
+	st, err := store.Open(dir, store.Options{FS: ffs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +565,7 @@ func TestPinnedCachedBlobIsNotEvicted(t *testing.T) {
 	cfg := quietConfig()
 	cfg.Metrics = reg
 	// The third blob fits only after one of the first two is evicted.
-	srv, st := newStoreServer(t, cfg, store.Options{Budget: total - 1, Metrics: reg})
+	srv, st := newStoreServer(t, cfg, store.Options{Budget: total - 1})
 	put := func(doc []byte) {
 		t.Helper()
 		resp := putExperiment(t, srv, store.DigestOf(doc).String(), doc, "")
@@ -582,5 +589,48 @@ func TestPinnedCachedBlobIsNotEvicted(t *testing.T) {
 	}
 	if _, ok := st.Stat(cold); ok {
 		t.Error("the least recently used blob survived; something else was evicted")
+	}
+}
+
+// TestReopenedStoreRecoveryIsServed pins the order cube-server relies on:
+// with the registry and the sink installed before the store opens, the
+// recovery scan of a directory that already holds a blob shows on the
+// handler's /metrics and /debug/events.
+func TestReopenedStoreRecoveryIsServed(t *testing.T) {
+	dir := t.TempDir()
+	first, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := first.Put(encodeExp(t, buildExp("kept", 0.5)), nil); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := quietConfig()
+	cfg.Debug = true
+	cfg.Metrics = obs.NewRegistry()
+	cfg.Events = obs.NewEventSink(16)
+	obs.SetRegistry(cfg.Metrics)
+	obs.SetEventSink(cfg.Events)
+	t.Cleanup(func() { obs.SetRegistry(nil); obs.SetEventSink(nil) })
+	if cfg.Store, err = store.Open(dir, store.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(cfg))
+	defer srv.Close()
+
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := readAll(t, resp); !strings.Contains(body, "\ncube_store_recovered_blobs_total 1\n") {
+		t.Errorf("/metrics lacks cube_store_recovered_blobs_total 1:\n%s", body)
+	}
+	resp, err = http.Get(srv.URL + "/debug/events?kind=store")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := readAll(t, resp); !strings.Contains(body, `"store_event":"recovery"`) {
+		t.Errorf("/debug/events?kind=store lacks the recovery event: %s", body)
 	}
 }

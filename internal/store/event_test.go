@@ -25,10 +25,10 @@ func lifecycleEvents(sink *obs.EventSink, event string) []*obs.EventFields {
 }
 
 func TestStoreLifecycleEvents(t *testing.T) {
-	sink := obs.NewEventSink(64)
+	sink := useSink(t, 64)
 	dir := t.TempDir()
 	// Budget admits two 600-byte blobs; the third evicts.
-	s := openTest(t, dir, Options{Budget: 1500, Events: sink})
+	s := openTest(t, dir, Options{Budget: 1500})
 
 	if got := lifecycleEvents(sink, "recovery"); len(got) != 1 {
 		t.Fatalf("recovery events = %d, want 1", len(got))
@@ -60,13 +60,12 @@ func TestStoreLifecycleEvents(t *testing.T) {
 }
 
 func TestStoreQuarantineAndDegradedEvents(t *testing.T) {
-	sink := obs.NewEventSink(64)
+	sink := useSink(t, 64)
 	dir := t.TempDir()
 	ffs := NewFaultFS(nil)
 	clock := time.Unix(1000, 0)
 	s := openTest(t, dir, Options{
 		FS:               ffs,
-		Events:           sink,
 		FailureThreshold: 1,
 		ProbeInterval:    10 * time.Second,
 		now:              func() time.Time { return clock },
@@ -111,9 +110,7 @@ func TestStoreQuarantineAndDegradedEvents(t *testing.T) {
 }
 
 func TestStoreLifecycleFallsBackToActiveSink(t *testing.T) {
-	sink := obs.NewEventSink(16)
-	obs.SetEventSink(sink)
-	defer obs.SetEventSink(nil)
+	sink := useSink(t, 16)
 	s := openTest(t, t.TempDir(), Options{Budget: 500})
 	if _, _, err := s.Put(blob("a", 400), nil); err != nil {
 		t.Fatal(err)

@@ -51,8 +51,8 @@ func TestCrashRecoveryProperty(t *testing.T) {
 
 			// "Restart": a fresh store over the same directory with a
 			// healthy filesystem runs the recovery scan.
-			reg := obs.NewRegistry()
-			s2 := openTest(t, dir, Options{Metrics: reg})
+			reg := useRegistry(t)
+			s2 := openTest(t, dir, Options{})
 			got, err := s2.Get(d)
 			switch {
 			case err == nil:
@@ -131,11 +131,10 @@ func TestTornWriteLeavesEvidence(t *testing.T) {
 func TestSustainedWriteFailuresDegrade(t *testing.T) {
 	dir := t.TempDir()
 	ffs := NewFaultFS(nil)
-	reg := obs.NewRegistry()
+	reg := useRegistry(t)
 	clock := time.Unix(1000, 0)
 	s := openTest(t, dir, Options{
 		FS:               ffs,
-		Metrics:          reg,
 		FailureThreshold: 2,
 		ProbeInterval:    10 * time.Second,
 		now:              func() time.Time { return clock },
@@ -229,8 +228,8 @@ func TestBelowThresholdFailuresDoNotDegrade(t *testing.T) {
 // read reports not-found.
 func TestReadErrorQuarantines(t *testing.T) {
 	ffs := NewFaultFS(nil)
-	reg := obs.NewRegistry()
-	s := openTest(t, t.TempDir(), Options{FS: ffs, Metrics: reg})
+	reg := useRegistry(t)
+	s := openTest(t, t.TempDir(), Options{FS: ffs})
 	d, _, err := s.Put(blob("sick", 800), nil)
 	if err != nil {
 		t.Fatal(err)

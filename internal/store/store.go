@@ -80,7 +80,14 @@ func ParseDigest(s string) (Digest, bool) {
 }
 
 // Options configures Open. The zero value is usable: OS filesystem,
-// unlimited budget, no logging or metrics, default failure thresholds.
+// unlimited budget, no logging, default failure thresholds.
+//
+// The store records its counters and gauges (see the README metric
+// catalog) into the process-wide registry (obs.SetRegistry) and its kind
+// "store" wide events — evictions, quarantines, degraded-mode enter/exit
+// and the recovery scan — into the process-wide sink (obs.SetEventSink).
+// Both are looked up at each record, so install them before Open for the
+// recovery scan to be seen.
 type Options struct {
 	// FS is the filesystem seam; nil means the real OS filesystem.
 	FS FS
@@ -90,9 +97,6 @@ type Options struct {
 	// Logger receives recovery-scan, quarantine, and mode-transition
 	// reports. nil disables logging.
 	Logger *slog.Logger
-	// Metrics receives the store's counters and gauges (see the README
-	// metric catalog). nil disables them.
-	Metrics *obs.Registry
 	// FailureThreshold is how many consecutive Put write failures flip
 	// the store into degraded mode (default 3; a budget breach degrades
 	// immediately regardless).
@@ -100,13 +104,6 @@ type Options struct {
 	// ProbeInterval is how often a degraded store lets a Put through as
 	// a write probe to test whether the fault has cleared (default 5s).
 	ProbeInterval time.Duration
-	// Events receives kind "store" wide events for lifecycle transitions:
-	// evictions, quarantines, degraded-mode enter/exit, and the recovery
-	// scan. nil falls back to the process-wide sink (obs.SetEventSink) at
-	// each transition, so a store opened before the server's sink exists
-	// still reports everything after installation — except recovery,
-	// which fires during Open and needs an explicit sink to be seen.
-	Events *obs.EventSink
 
 	// now overrides the clock in tests.
 	now func() time.Time
@@ -129,10 +126,8 @@ type Store struct {
 	fs        FS
 	budget    int64
 	logger    *slog.Logger
-	reg       *obs.Registry
 	threshold int
 	probe     time.Duration
-	events    *obs.EventSink
 	now       func() time.Time
 
 	// Recovery reports what Open's scan found; read-only afterwards.
@@ -187,10 +182,8 @@ func Open(dir string, opts Options) (*Store, error) {
 		fs:        opts.FS,
 		budget:    opts.Budget,
 		logger:    opts.Logger,
-		reg:       opts.Metrics,
 		threshold: opts.FailureThreshold,
 		probe:     opts.ProbeInterval,
-		events:    opts.Events,
 		now:       opts.now,
 		entries:   map[Digest]*entry{},
 		lru:       list.New(),
@@ -262,7 +255,7 @@ func (s *Store) recover() error {
 		}
 		s.Recovery.Evicted++
 	}
-	s.count("cube_store_recovered_blobs_total", int64(s.Recovery.Intact))
+	obs.ActiveRegistry().Counter("cube_store_recovered_blobs_total").Add(int64(s.Recovery.Intact))
 	s.publishGauges()
 	s.emitLifecycle("recovery", "", fmt.Sprintf(
 		"%d intact (%d bytes), %d quarantined, %d evicted",
@@ -278,33 +271,19 @@ func (s *Store) recover() error {
 	return nil
 }
 
-func (s *Store) count(name string, n int64) {
-	if s.reg != nil {
-		s.reg.Counter(name).Add(n)
-	}
-}
-
-func (s *Store) inc(name string) { s.count(name, 1) }
-
 // publishGauges pushes the size gauges; callers hold s.mu (or own the
 // store exclusively, during recovery).
 func (s *Store) publishGauges() {
-	if s.reg == nil {
-		return
-	}
-	s.reg.Gauge("cube_store_blobs").Set(int64(len(s.entries)))
-	s.reg.Gauge("cube_store_bytes").Set(s.bytes)
+	reg := obs.ActiveRegistry()
+	reg.Gauge("cube_store_blobs").Set(int64(len(s.entries)))
+	reg.Gauge("cube_store_bytes").Set(s.bytes)
 }
 
 // emitLifecycle reports one store lifecycle transition as a kind "store"
-// wide event: to the explicit sink when Open was given one, else to the
-// process-wide sink (one atomic load; a no-op when neither exists).
+// wide event to the process-wide sink (one atomic load; a no-op when none
+// is installed).
 func (s *Store) emitLifecycle(event, digest, detail string) {
-	sink := s.events
-	if sink == nil {
-		sink = obs.ActiveEventSink()
-	}
-	ev := sink.NewEvent("store", "")
+	ev := obs.NewEvent("store", "")
 	ev.SetStoreLifecycle(event, digest, detail)
 	ev.Emit()
 }
@@ -328,7 +307,7 @@ func (s *Store) quarantineLocked(name, why string) {
 	s.seq++
 	dst := filepath.Join(s.quarDir, fmt.Sprintf("%s.%d.%d", name, s.now().UnixNano(), s.seq))
 	err := s.fs.Rename(filepath.Join(s.blobDir, name), dst)
-	s.inc("cube_store_quarantined_total")
+	obs.ActiveRegistry().Counter("cube_store_quarantined_total").Inc()
 	s.quarantines = append(s.quarantines, QuarantineRecord{Name: name, Reason: why, Time: s.now()})
 	if len(s.quarantines) > maxQuarantineRecords {
 		s.quarantines = s.quarantines[len(s.quarantines)-maxQuarantineRecords:]
@@ -378,7 +357,7 @@ func (s *Store) evictOneLocked(sp *obs.Span) bool {
 		}
 		esp := sp.StartChild("store.evict")
 		s.dropLocked(e)
-		s.inc("cube_store_evictions_total")
+		obs.ActiveRegistry().Counter("cube_store_evictions_total").Inc()
 		s.evictions++
 		if err := s.fs.Remove(s.blobPath(e.d)); err != nil && s.logger != nil {
 			// The entry is already unindexed, so the blob is not served
@@ -411,14 +390,13 @@ func (s *Store) setDegradedLocked(degraded bool, why string) {
 		event = "degraded_enter"
 	}
 	s.emitLifecycle(event, "", why)
-	if s.reg != nil {
-		v := int64(0)
-		if degraded {
-			v = 1
-		}
-		s.reg.Gauge("cube_store_degraded").Set(v)
-		s.reg.Counter("cube_store_mode_transitions_total", obs.L("to", mode)).Inc()
+	v := int64(0)
+	if degraded {
+		v = 1
 	}
+	reg := obs.ActiveRegistry()
+	reg.Gauge("cube_store_degraded").Set(v)
+	reg.Counter("cube_store_mode_transitions_total", obs.L("to", mode)).Inc()
 	if s.logger != nil {
 		s.logger.Warn("experiment store mode transition",
 			slog.String("to", mode), slog.String("reason", why))
@@ -510,7 +488,7 @@ func (s *Store) PutContext(ctx context.Context, data []byte, want *Digest) (Dige
 	if sp != nil {
 		sp.SetAttr("verify_seconds", time.Since(vstart).Seconds())
 	}
-	dig, created, err := s.put(ctx, sp, d, data, want)
+	dig, created, err := s.put(sp, d, data, want)
 	if sp != nil {
 		sp.SetAttr("digest", dig.String())
 		sp.SetAttr("created", created)
@@ -523,8 +501,7 @@ func (s *Store) PutContext(ctx context.Context, data []byte, want *Digest) (Dige
 	return dig, created, err
 }
 
-func (s *Store) put(ctx context.Context, sp *obs.Span, d Digest, data []byte, want *Digest) (Digest, bool, error) {
-	_ = ctx
+func (s *Store) put(sp *obs.Span, d Digest, data []byte, want *Digest) (Digest, bool, error) {
 	if want != nil && *want != d {
 		return d, false, fmt.Errorf("%w: bytes hash to %s, caller claimed %s", ErrDigestMismatch, d, want)
 	}
@@ -538,7 +515,7 @@ func (s *Store) put(ctx context.Context, sp *obs.Span, d Digest, data []byte, wa
 	}
 	if s.budget > 0 && size > s.budget {
 		s.mu.Unlock()
-		s.inc("cube_store_put_errors_total")
+		obs.ActiveRegistry().Counter("cube_store_put_errors_total").Inc()
 		return d, false, fmt.Errorf("%w: %d bytes against a %d byte budget", ErrTooLarge, size, s.budget)
 	}
 	if s.degraded {
@@ -560,7 +537,7 @@ func (s *Store) put(ctx context.Context, sp *obs.Span, d Digest, data []byte, wa
 				s.bytes, s.reserved, size, s.budget))
 			s.lastProbe = s.now()
 			s.mu.Unlock()
-			s.inc("cube_store_put_errors_total")
+			obs.ActiveRegistry().Counter("cube_store_put_errors_total").Inc()
 			return d, false, fmt.Errorf("%w: budget breached with all blobs pinned", ErrDegraded)
 		}
 	}
@@ -575,7 +552,7 @@ func (s *Store) put(ctx context.Context, sp *obs.Span, d Digest, data []byte, wa
 	defer s.mu.Unlock()
 	s.reserved -= size
 	if err != nil {
-		s.inc("cube_store_put_errors_total")
+		obs.ActiveRegistry().Counter("cube_store_put_errors_total").Inc()
 		s.writeFailures++
 		if s.writeFailures >= s.threshold {
 			s.setDegradedLocked(true, fmt.Sprintf("%d consecutive write failures, last: %v", s.writeFailures, err))
@@ -590,7 +567,8 @@ func (s *Store) put(ctx context.Context, sp *obs.Span, d Digest, data []byte, wa
 	s.setDegradedLocked(false, "")
 	s.insertLocked(d, size)
 	s.puts++
-	s.inc("cube_store_put_total")
+	// New blobs only; obs.StorePuts also counts an already-stored blob.
+	obs.ActiveRegistry().Counter("cube_store_put_total").Inc()
 	return d, true, nil
 }
 
@@ -665,7 +643,7 @@ func (s *Store) get(d Digest) ([]byte, time.Duration, error) {
 	if !ok {
 		s.getMisses++
 		s.mu.Unlock()
-		s.inc("cube_store_get_misses_total")
+		obs.ActiveRegistry().Counter("cube_store_get_misses_total").Inc()
 		return nil, 0, fmt.Errorf("%w: %s", ErrNotFound, d)
 	}
 	s.lru.MoveToFront(e.el)
@@ -693,11 +671,10 @@ func (s *Store) get(d Digest) ([]byte, time.Duration, error) {
 			s.quarantineLocked(d.String(), why)
 		}
 		s.getMisses++
-		s.inc("cube_store_get_misses_total")
+		obs.ActiveRegistry().Counter("cube_store_get_misses_total").Inc()
 		return nil, verify, fmt.Errorf("%w: %s (failed verification)", ErrNotFound, d)
 	}
-	s.gets++
-	s.inc("cube_store_get_hits_total")
+	s.gets++ // GetContext counts the hit as obs.StoreGets
 	return data, verify, nil
 }
 

@@ -31,6 +31,24 @@ func openTest(t *testing.T, dir string, opts Options) *Store {
 	return s
 }
 
+// useRegistry installs a fresh registry as the process-wide one for the
+// rest of the test and returns it.
+func useRegistry(t *testing.T) *obs.Registry {
+	reg := obs.NewRegistry()
+	obs.SetRegistry(reg)
+	t.Cleanup(func() { obs.SetRegistry(nil) })
+	return reg
+}
+
+// useSink installs a fresh event sink of n events as the process-wide one
+// for the rest of the test and returns it.
+func useSink(t *testing.T, n int) *obs.EventSink {
+	sink := obs.NewEventSink(n)
+	obs.SetEventSink(sink)
+	t.Cleanup(func() { obs.SetEventSink(nil) })
+	return sink
+}
+
 func blob(tag string, n int) []byte {
 	b := bytes.Repeat([]byte(tag), n/len(tag)+1)
 	return b[:n]
@@ -51,8 +69,8 @@ func TestParseDigest(t *testing.T) {
 
 func TestPutGetRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	reg := obs.NewRegistry()
-	s := openTest(t, dir, Options{Metrics: reg})
+	reg := useRegistry(t)
+	s := openTest(t, dir, Options{})
 
 	data := blob("a", 1000)
 	d, created, err := s.Put(data, nil)
@@ -98,8 +116,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 
 func TestEvictionLRUAndPinning(t *testing.T) {
 	dir := t.TempDir()
-	reg := obs.NewRegistry()
-	s := openTest(t, dir, Options{Budget: 2500, Metrics: reg})
+	reg := useRegistry(t)
+	s := openTest(t, dir, Options{Budget: 2500})
 
 	a, b, c := blob("a", 1000), blob("b", 1000), blob("c", 1000)
 	da, _, _ := s.Put(a, nil)
@@ -177,8 +195,8 @@ func TestOversizedBlobRejectedWithoutDegrading(t *testing.T) {
 
 func TestGetQuarantinesCorruptBlob(t *testing.T) {
 	dir := t.TempDir()
-	reg := obs.NewRegistry()
-	s := openTest(t, dir, Options{Metrics: reg})
+	reg := useRegistry(t)
+	s := openTest(t, dir, Options{})
 	data := blob("q", 500)
 	d, _, err := s.Put(data, nil)
 	if err != nil {
@@ -229,8 +247,8 @@ func TestRecoveryQuarantinesCorruptAndPartialFiles(t *testing.T) {
 	os.WriteFile(filepath.Join(blobs, ".tmp-deadbeef-7"), blob("partial", 100), 0o644)
 	os.WriteFile(filepath.Join(blobs, "README"), []byte("not a blob"), 0o644)
 
-	reg := obs.NewRegistry()
-	s2 := openTest(t, dir, Options{Metrics: reg})
+	reg := useRegistry(t)
+	s2 := openTest(t, dir, Options{})
 	if s2.Recovery.Intact != 1 || s2.Recovery.Quarantined != 3 {
 		t.Fatalf("recovery = %+v, want 1 intact / 3 quarantined", s2.Recovery)
 	}
